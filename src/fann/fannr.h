@@ -12,6 +12,9 @@
 //   auto engine = fannr::MakeGphiEngine(fannr::GphiKind::kIne, {&graph});
 //   fannr::FannResult answer = fannr::SolveGd(query, *engine);
 //
+// Building an IndexedVertexSet costs O(|set|) time and memory, independent
+// of |V|, so a fresh P and Q per query is cheap.
+//
 // See README.md for the full tour and DESIGN.md for the architecture.
 
 #ifndef FANNR_FANN_FANNR_H_

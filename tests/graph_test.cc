@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <random>
+#include <string>
+#include <unordered_map>
+#include <vector>
+
 #include "graph/builder.h"
 #include "graph/vertex_set.h"
 #include "test_util.h"
@@ -129,6 +136,91 @@ TEST(IndexedVertexSetTest, EmptySet) {
   IndexedVertexSet set(4, {});
   EXPECT_TRUE(set.empty());
   EXPECT_FALSE(set.Contains(0));
+}
+
+// Checks every id in [0, num_vertices) against a std::unordered_map
+// built from the same members.
+void ExpectMatchesReference(size_t num_vertices,
+                            const std::vector<VertexId>& members) {
+  std::unordered_map<VertexId, uint32_t> reference;
+  for (size_t i = 0; i < members.size(); ++i) {
+    reference.emplace(members[i], static_cast<uint32_t>(i));
+  }
+  IndexedVertexSet set(num_vertices, members);
+  ASSERT_EQ(set.size(), members.size());
+  for (size_t i = 0; i < members.size(); ++i) EXPECT_EQ(set[i], members[i]);
+  for (size_t v = 0; v < num_vertices; ++v) {
+    const auto it = reference.find(static_cast<VertexId>(v));
+    const uint32_t expected =
+        it == reference.end() ? IndexedVertexSet::kNotMember : it->second;
+    ASSERT_EQ(set.IndexOf(static_cast<VertexId>(v)), expected) << "v=" << v;
+    ASSERT_EQ(set.Contains(static_cast<VertexId>(v)),
+              it != reference.end())
+        << "v=" << v;
+  }
+}
+
+TEST(IndexedVertexSetTest, MatchesUnorderedMapOnRandomSets) {
+  std::mt19937 rng(7);
+  constexpr size_t kNumVertices = 5000;
+  std::vector<VertexId> all(kNumVertices);
+  std::iota(all.begin(), all.end(), VertexId{0});
+  for (size_t size : {0u, 1u, 7u, 8u, 9u, 1000u}) {
+    SCOPED_TRACE(size);
+    std::shuffle(all.begin(), all.end(), rng);
+    ExpectMatchesReference(
+        kNumVertices, std::vector<VertexId>(all.begin(), all.begin() + size));
+  }
+}
+
+TEST(IndexedVertexSetTest, MatchesUnorderedMapWhenPIsV) {
+  Graph g = testing::MakeSmallGrid(12, 12);
+  std::vector<VertexId> all(g.NumVertices());
+  std::iota(all.begin(), all.end(), VertexId{0});
+  ExpectMatchesReference(g.NumVertices(), all);
+  std::shuffle(all.begin(), all.end(), std::mt19937(3));
+  ExpectMatchesReference(g.NumVertices(), all);
+}
+
+TEST(IndexedVertexSetTest, MatchesUnorderedMapOnStridedAndContiguousIds) {
+  // Grid rows and arithmetic progressions: the id patterns that collide
+  // most under a weak hash.
+  for (VertexId stride : {2u, 64u, 256u, 1024u}) {
+    SCOPED_TRACE(stride);
+    std::vector<VertexId> members;
+    for (VertexId i = 0; i < 1000; ++i) members.push_back(5 + i * stride);
+    ExpectMatchesReference(5 + 1000 * size_t{stride}, members);
+  }
+  std::vector<VertexId> contiguous(1000);
+  std::iota(contiguous.begin(), contiguous.end(), VertexId{3000});
+  ExpectMatchesReference(5000, contiguous);
+}
+
+TEST(IndexedVertexSetTest, FootprintIsIndependentOfVertexCount) {
+  // A dense |V|-entry index would need 8 GiB here.
+  const size_t num_vertices = size_t{1} << 31;
+  IndexedVertexSet set(num_vertices, {0, 17, 1u << 30, (1u << 31) - 1});
+  EXPECT_EQ(set.size(), 4u);
+  EXPECT_EQ(set.IndexOf(1u << 30), 2u);
+  EXPECT_EQ(set.IndexOf((1u << 31) - 1), 3u);
+  EXPECT_FALSE(set.Contains(1));
+}
+
+TEST(IndexedVertexSetTest, TryCreateReportsTheFirstFault) {
+  std::string error;
+  EXPECT_NE(IndexedVertexSet::TryCreate(10, {3, 7, 1}, &error), nullptr);
+  EXPECT_EQ(IndexedVertexSet::TryCreate(10, {3, 12, 3, 10}, &error), nullptr);
+  EXPECT_EQ(error, "vertex id 12 out of range (graph has 10 vertices)");
+  EXPECT_EQ(IndexedVertexSet::TryCreate(10, {3, 7, 3}, &error), nullptr);
+  EXPECT_EQ(error, "contains a duplicate vertex id");
+}
+
+TEST(IndexedVertexSetDeathTest, DuplicateMemberAborts) {
+  EXPECT_DEATH(IndexedVertexSet(10, {4, 2, 4}), "duplicate vertex in set");
+}
+
+TEST(IndexedVertexSetDeathTest, OutOfRangeMemberAborts) {
+  EXPECT_DEATH(IndexedVertexSet(10, {4, 10}), "out of range");
 }
 
 TEST(GraphBuilderTest, FromGraphRoundTripsAndAllowsUpdates) {
