@@ -153,6 +153,47 @@ void BM_IncrementalNnK(benchmark::State& state) {
 }
 BENCHMARK(BM_IncrementalNnK)->Arg(1)->Arg(16)->Arg(64);
 
+// The same search with every vertex a target (density d = 1 in the
+// paper's Fig. 3/4 sweeps): each settled vertex is a membership hit.
+void BM_IncrementalNnAllTargets(benchmark::State& state) {
+  const World& w = World::Get();
+  const size_t k = static_cast<size_t>(state.range(0));
+  std::vector<VertexId> all(w.graph.NumVertices());
+  for (VertexId v = 0; v < all.size(); ++v) all[v] = v;
+  IndexedVertexSet target_set(w.graph.NumVertices(), std::move(all));
+  size_t i = 0;
+  for (auto _ : state) {
+    IncrementalNnSearch search(w.graph, w.pairs[i % 2048], target_set);
+    for (size_t hits = 0; hits < k; ++hits) {
+      benchmark::DoNotOptimize(search.Next());
+    }
+    ++i;
+  }
+}
+BENCHMARK(BM_IncrementalNnAllTargets)->Arg(64);
+
+// IndexOf over every vertex id for a set of density d = range(0) / 100,
+// the lookup pattern of a sweep such as NetworkVoronoi::CellSizes.
+void BM_VertexSetIndexOfSweep(benchmark::State& state) {
+  const World& w = World::Get();
+  const size_t n = w.graph.NumVertices();
+  std::vector<VertexId> ids(n);
+  for (VertexId v = 0; v < n; ++v) ids[v] = v;
+  Rng rng(13);
+  for (size_t i = n; i > 1; --i) std::swap(ids[i - 1], ids[rng.NextIndex(i)]);
+  ids.resize(std::max<size_t>(1, n * state.range(0) / 100));
+  IndexedVertexSet set(n, std::move(ids));
+  for (auto _ : state) {
+    uint64_t found = 0;
+    for (VertexId v = 0; v < n; ++v) {
+      found += set.IndexOf(v) != IndexedVertexSet::kNotMember;
+    }
+    benchmark::DoNotOptimize(found);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+BENCHMARK(BM_VertexSetIndexOfSweep)->Arg(10)->Arg(100);
+
 void BM_RTreeNearest(benchmark::State& state) {
   Rng rng(9);
   std::vector<RTree::Item> items;

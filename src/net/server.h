@@ -283,13 +283,11 @@ class FannServer {
   /// weight update, so pushes are solved at exactly the epoch they are
   /// stamped with.
   void ReevaluateSubscriptions();
-  /// Pushes one re-evaluated answer unless the connection's transmit
-  /// backlog exceeds max_outbound_bytes — then the push is dropped
-  /// (conflated: delivery state does not advance, so the next
-  /// re-evaluation retries). Returns whether the frame was enqueued.
-  bool TryEnqueuePush(const std::shared_ptr<Connection>& conn,
-                      uint64_t subscription_id,
-                      std::span<const uint8_t> payload);
+  /// Whether a re-evaluated answer may be pushed to `conn`: false when
+  /// the connection is closed or its transmit backlog exceeds
+  /// max_outbound_bytes — then the push is dropped (conflated: delivery
+  /// state does not advance, so the next re-evaluation retries).
+  bool PushFits(const std::shared_ptr<Connection>& conn);
   /// Validates a WireQuery's ids against the graph and materializes the
   /// vertex sets; empty return = ok. Mirrors in-process screening: any
   /// violation becomes a kRejected result, never UB.
