@@ -132,8 +132,7 @@ class FannClient {
   /// eventual QUERY_RESULT (or error) frame.
   bool SendQuery(const WireQuery& query, uint64_t* request_id);
 
-  /// Writes one BATCH frame (the router's per-shard fan-out overlaps
-  /// the shards' work by sending every sub-batch before reading any).
+  /// Writes one BATCH frame.
   bool SendBatch(const BatchRequest& request, uint64_t* request_id);
 
   /// Writes one PING frame (answered inline by the server's event loop,

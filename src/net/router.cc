@@ -1,13 +1,17 @@
 #include "net/router.h"
 
-#include <poll.h>
 #include <sys/eventfd.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <chrono>
+#include <cmath>
+#include <unordered_map>
 #include <utility>
 
 #include "common/check.h"
+#include "common/timer.h"
 #include "engine/batch_engine.h"
 #include "fann/query.h"
 #include "obs/metrics.h"
@@ -16,6 +20,15 @@
 namespace fannr::net {
 
 namespace {
+
+/// Client connections served at once; more are shed with OVERLOADED.
+constexpr size_t kMaxClientConnections = 1024;
+
+/// How long Wait lets unanswered requests finish before closing.
+constexpr double kDrainCapMs = 10'000.0;
+
+/// Whether a deadline counts: the shard's EffectiveDeadlineMs rule.
+bool UsableDeadline(double ms) { return std::isfinite(ms) && ms > 0.0; }
 
 WireResult RejectedWire(std::string error) {
   WireResult r;
@@ -128,32 +141,76 @@ MergedAnswer MergeShardAnswers(const std::vector<ShardAnswer>& answers) {
   return merged;
 }
 
-/// Per-connection state: the accepted socket, its service thread, and
-/// this connection's private query clients (one per shard, connected
-/// lazily; FannClient is not thread-safe, so they are never shared).
-struct FannRouter::ConnEntry {
-  Socket sock;
-  std::thread thread;
-  std::atomic<bool> done{false};
-  std::vector<FannClient> shard_clients;
+/// Every client request cut in one loop pass, fanned out together as
+/// one sub-batch per shard and answered as a unit.
+struct FannRouter::Burst {
+  explicit Burst(size_t num_shards)
+      : sub(num_shards),
+        slots(num_shards),
+        answers(num_shards),
+        replies(num_shards) {}
+
+  struct Request {
+    std::shared_ptr<Connection> client;
+    uint64_t request_id = 0;
+    bool is_query = false;
+    size_t num_jobs = 0;
+  };
+  std::vector<Request> requests;
+  /// Per shard: the sub-batch and, parallel to its jobs, the (request,
+  /// job) each sub-job belongs to.
+  std::vector<BatchRequest> sub;
+  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> slots;
+  /// Per shard: the batch-level outcome and the decoded reply.
+  std::vector<ShardAnswer> answers;
+  std::vector<BatchResponse> replies;
+  size_t awaiting = 0;          ///< Sub-batches not yet answered.
+  uint64_t admitted_epoch = 0;  ///< Fleet epoch when first dispatched.
+  bool retried = false;
+};
+
+/// The loop's pipelined connection to one shard.
+struct FannRouter::ShardLink {
+  std::shared_ptr<Connection> conn;  ///< Null while down.
+  bool dialing = false;              ///< The control thread is connecting.
+  std::vector<std::shared_ptr<Burst>> parked;  ///< Waiting for the dial.
+  /// Sent sub-batches by the request id they went out under.
+  std::unordered_map<uint64_t, std::shared_ptr<Burst>> in_flight;
 };
 
 FannRouter::FannRouter(const ShardPlan& plan, RouterConfig config)
-    : plan_(plan), config_(std::move(config)) {
+    : plan_(plan), config_(std::move(config)), links_(config_.shards.size()) {
   m_queries_ = metrics_.RegisterCounter("router.requests.query");
   m_batches_ = metrics_.RegisterCounter("router.requests.batch");
   m_updates_ = metrics_.RegisterCounter("router.requests.update");
   m_fanouts_ = metrics_.RegisterCounter("router.fanout.sub_batches");
+  m_fanout_jobs_ = metrics_.RegisterCounter("router.fanout.jobs");
   m_retries_ = metrics_.RegisterCounter("router.fanout.epoch_retries");
   m_stale_rejections_ = metrics_.RegisterCounter("router.stale_rejections");
   m_catch_up_records_ = metrics_.RegisterCounter("router.catch_up.records");
   m_shard_errors_ = metrics_.RegisterCounter("router.shard_errors");
+  m_errors_ = metrics_.RegisterCounter("router.responses.error");
+  FrontEndCounters counters;
+  counters.connections = metrics_.RegisterCounter("router.connections");
+  counters.accept_errors = metrics_.RegisterCounter("router.accept_errors");
+  counters.overloaded = metrics_.RegisterCounter("router.overloaded");
+  counters.bad_frames = metrics_.RegisterCounter("router.bad_frames");
+  counters.errors = m_errors_;
+
+  FrontEndConfig front_end_config;
+  front_end_config.host = config_.host;
+  front_end_config.port = config_.port;
+  front_end_config.num_loops = 1;
+  front_end_config.max_connections = kMaxClientConnections;
+  front_end_ = std::make_unique<FrontEnd>(std::move(front_end_config),
+                                          static_cast<FrameHandler*>(this),
+                                          &metrics_, counters);
 }
 
 FannRouter::~FannRouter() {
   RequestShutdown();
   Wait();
-  if (stop_event_ >= 0) ::close(stop_event_);
+  if (drain_wake_fd_ >= 0) ::close(drain_wake_fd_);
 }
 
 bool FannRouter::Start(std::string* error) {
@@ -196,266 +253,460 @@ bool FannRouter::Start(std::string* error) {
     }
   }
 
-  stop_event_ = ::eventfd(0, EFD_CLOEXEC);
-  if (stop_event_ < 0) return fail("eventfd failed");
+  drain_wake_fd_ = ::eventfd(0, EFD_CLOEXEC);
+  if (drain_wake_fd_ < 0) return fail("eventfd failed");
   std::string listen_error;
-  listener_ = TcpListen(config_.host, config_.port, &port_, &listen_error);
-  if (!listener_.valid()) return fail("listen failed: " + listen_error);
-  accept_thread_ = std::thread(&FannRouter::AcceptLoop, this);
+  if (!front_end_->Start(&listen_error)) {
+    return fail("listen failed: " + listen_error);
+  }
+  control_thread_ = std::thread(&FannRouter::ControlMain, this);
+  started_.store(true);
   return true;
 }
 
 void FannRouter::RequestShutdown() {
-  if (stop_.exchange(true)) return;
-  if (stop_event_ >= 0) {
-    const uint64_t one = 1;
-    [[maybe_unused]] const ssize_t n = ::write(stop_event_, &one, sizeof(one));
+  draining_.store(true, std::memory_order_relaxed);
+  // Async-signal-safe, like FannServer::RequestShutdown: eventfd writes
+  // and relaxed stores only.
+  const uint64_t one = 1;
+  if (drain_wake_fd_ >= 0) {
+    [[maybe_unused]] const ssize_t n = ::write(drain_wake_fd_, &one, sizeof(one));
   }
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  for (const std::unique_ptr<ConnEntry>& conn : conns_) {
-    conn->sock.ShutdownBoth();
-  }
+  front_end_->StopAccepting();
 }
 
 void FannRouter::Wait() {
-  if (accept_thread_.joinable()) accept_thread_.join();
-  // Joining while holding conn_mu_ would deadlock against the very
-  // connection thread that delivered the SHUTDOWN frame: it still needs
-  // conn_mu_ (inside RequestShutdown) before it can exit. Detach the
-  // entries under the lock, join outside it.
-  std::vector<std::unique_ptr<ConnEntry>> conns;
+  if (!started_.load()) return;
+  uint64_t counter = 0;
+  while (::read(drain_wake_fd_, &counter, sizeof(counter)) < 0 &&
+         errno == EINTR) {
+  }
+  // New work is refused from here on; let what is in flight answer
+  // (bounded) before the close. Nothing here holds a lock the loop or
+  // the control thread needs.
+  const Timer drain;
+  while (unanswered_.load() > 0 && drain.Millis() < kDrainCapMs) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    conns.swap(conns_);
+    std::lock_guard<std::mutex> lock(control_mu_);
+    control_stop_ = true;
   }
-  for (const std::unique_ptr<ConnEntry>& conn : conns) {
-    if (conn->thread.joinable()) conn->thread.join();
-  }
+  control_cv_.notify_all();
+  control_thread_.join();
+  front_end_->Stop();
+  started_.store(false);
 }
 
-void FannRouter::ReapFinishedLocked() {
-  auto it = conns_.begin();
-  while (it != conns_.end()) {
-    if ((*it)->done.load()) {
-      if ((*it)->thread.joinable()) (*it)->thread.join();
-      it = conns_.erase(it);
-    } else {
-      ++it;
+void FannRouter::ControlMain() {
+  while (true) {
+    std::function<void()> task;
+    {
+      std::unique_lock<std::mutex> lock(control_mu_);
+      control_cv_.wait(
+          lock, [&] { return !control_tasks_.empty() || control_stop_; });
+      if (control_tasks_.empty()) return;
+      task = std::move(control_tasks_.front());
+      control_tasks_.pop_front();
     }
+    task();
   }
 }
 
-void FannRouter::AcceptLoop() {
-  while (!stop_.load()) {
-    struct pollfd fds[2];
-    fds[0] = {listener_.fd(), POLLIN, 0};
-    fds[1] = {stop_event_, POLLIN, 0};
-    if (::poll(fds, 2, -1) < 0) {
-      if (errno == EINTR) continue;
-      break;
+void FannRouter::RunOnControl(std::function<void()> task) {
+  {
+    std::lock_guard<std::mutex> lock(control_mu_);
+    control_tasks_.push_back(std::move(task));
+  }
+  control_cv_.notify_one();
+}
+
+void FannRouter::ReplyError(const std::shared_ptr<Connection>& conn,
+                            uint64_t request_id, ErrorCode code,
+                            std::string message) {
+  metrics_.Add(m_errors_, 1);
+  front_end_->EnqueueError(conn, request_id, code, std::move(message));
+}
+
+void FannRouter::OnFrame(const std::shared_ptr<Connection>& conn,
+                         FrameCut& cut) {
+  if (conn->outbound) {
+    for (uint32_t s = 0; s < links_.size(); ++s) {
+      if (links_[s].conn == conn) OnShardReply(s, cut);
     }
-    if (fds[1].revents != 0 || stop_.load()) break;
-    if (fds[0].revents == 0) continue;
-    std::string accept_error;
-    Socket sock = TcpAccept(listener_, &accept_error);
-    if (!sock.valid()) continue;
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    ReapFinishedLocked();
-    conns_.push_back(std::make_unique<ConnEntry>());
-    ConnEntry* entry = conns_.back().get();
-    entry->sock = std::move(sock);
-    entry->shard_clients.resize(config_.shards.size());
-    entry->thread = std::thread(&FannRouter::ServeConnection, this, entry);
+    return;
   }
-  listener_.Close();
-}
-
-FannRouter::JobSplit FannRouter::SplitJob(const WireQuery& job) const {
-  JobSplit split;
-  // Jobs the plan cannot place — empty P or ids outside the graph —
-  // pass through to shard 0 whole, so the client sees the identical
-  // screening rejection a single server would produce.
-  bool splittable = !job.p.empty();
-  for (uint32_t v : job.p) {
-    if (v >= plan_.num_vertices()) splittable = false;
-  }
-  if (!splittable) {
-    split.targets.push_back(0);
-    split.sub_p.push_back(job.p);
-    return split;
-  }
-  std::vector<std::vector<uint32_t>> parts = plan_.SplitByShard(job.p);
-  for (uint32_t s = 0; s < parts.size(); ++s) {
-    if (parts[s].empty()) continue;
-    split.targets.push_back(s);
-    split.sub_p.push_back(std::move(parts[s]));
-  }
-  return split;
-}
-
-FannRouter::FanOutOutcome FannRouter::FanOutOnce(
-    ConnEntry& conn, const std::vector<WireQuery>& jobs,
-    double batch_deadline_ms) {
-  FanOutOutcome outcome;
-  const size_t num_shards = config_.shards.size();
-
-  // Build one sub-batch per shard: job j contributes its shard-owned
-  // P-slice to every shard that owns part of its P.
-  std::vector<BatchRequest> sub_batches(num_shards);
-  std::vector<std::vector<size_t>> sub_jobs(num_shards);  // -> job index
-  std::vector<size_t> fan_degree(jobs.size(), 0);
-  for (size_t j = 0; j < jobs.size(); ++j) {
-    const JobSplit split = SplitJob(jobs[j]);
-    for (size_t i = 0; i < split.targets.size(); ++i) {
-      const uint32_t s = split.targets[i];
-      WireQuery sub = jobs[j];
-      sub.p = split.sub_p[i];
-      sub_batches[s].jobs.push_back(std::move(sub));
-      sub_jobs[s].push_back(j);
-      ++fan_degree[j];
-    }
-  }
-
-  // Write every sub-batch before reading any response: the shards
-  // solve concurrently while the router waits.
-  struct ShardWave {
-    uint32_t shard = 0;
-    uint64_t request_id = 0;
-    bool sent = false;
-    ShardAnswer batch_level;  // transport / error-frame outcome
-    BatchResponse response;
+  if (front_end_->RejectEnvelope(conn, cut)) return;
+  const uint64_t id = cut.header.request_id;
+  const Opcode opcode = static_cast<Opcode>(cut.header.opcode);
+  auto refuse_while_draining = [&] {
+    if (!draining_.load(std::memory_order_relaxed)) return false;
+    ReplyError(conn, id, ErrorCode::kShuttingDown,
+               "router is draining — no new work accepted");
+    return true;
   };
-  std::vector<ShardWave> wave;
-  for (uint32_t s = 0; s < num_shards; ++s) {
-    if (sub_batches[s].jobs.empty()) continue;
-    sub_batches[s].deadline_ms = batch_deadline_ms;
-    ShardWave w;
-    w.shard = s;
-    w.batch_level.shard = s;
-    FannClient& client = conn.shard_clients[s];
-    if (!client.connected() &&
-        !client.Connect(config_.shards[s].host, config_.shards[s].port)) {
-      w.batch_level.transport_ok = false;
-      w.batch_level.error_message = client.last_error();
-      wave.push_back(std::move(w));
-      continue;
-    }
-    if (!client.SendBatch(sub_batches[s], &w.request_id)) {
-      w.batch_level.transport_ok = false;
-      w.batch_level.error_message = client.last_error();
-      client.Close();
-      wave.push_back(std::move(w));
-      continue;
-    }
-    w.sent = true;
-    metrics_.Add(m_fanouts_, 1);
-    wave.push_back(std::move(w));
-  }
 
-  for (ShardWave& w : wave) {
-    if (!w.sent) continue;
-    FannClient& client = conn.shard_clients[w.shard];
-    FrameHeader header;
-    std::vector<uint8_t> payload;
-    bool got = false;
-    while (client.ReadAny(header, payload)) {
-      if (header.request_id != w.request_id) continue;  // stray frame
-      got = true;
-      break;
+  switch (opcode) {
+    case Opcode::kPing:
+      front_end_->Enqueue(conn, Opcode::kPong, id, {});
+      return;
+    case Opcode::kStats: {
+      StatsResponse stats;
+      stats.json = StatsJson();
+      front_end_->Enqueue(conn, Opcode::kStatsResult, id,
+                          EncodeStatsResponse(stats));
+      return;
     }
-    if (!got) {
-      w.batch_level.transport_ok = false;
-      w.batch_level.error_message = client.last_error();
-      client.Close();
-      continue;
+    case Opcode::kShutdown:
+      front_end_->Enqueue(conn, Opcode::kShutdownAck, id, {});
+      RequestShutdown();
+      return;
+    case Opcode::kQuery: {
+      metrics_.Add(m_queries_, 1);
+      QueryRequest request;
+      if (!DecodeQueryRequest(cut.payload, request)) {
+        ReplyError(conn, id, ErrorCode::kMalformedPayload,
+                   "undecodable QUERY payload");
+        return;
+      }
+      if (refuse_while_draining()) return;
+      std::vector<WireQuery> jobs;
+      jobs.push_back(std::move(request.query));
+      AddRequest(conn, id, /*is_query=*/true, std::move(jobs));
+      return;
     }
-    w.batch_level.transport_ok = true;
-    if (static_cast<Opcode>(header.opcode) == Opcode::kError) {
-      ErrorResponse err;
-      if (DecodeErrorResponse(payload, err)) {
-        w.batch_level.is_error = true;
-        w.batch_level.error_code = err.code;
-        w.batch_level.error_message = std::move(err.message);
+    case Opcode::kBatch: {
+      metrics_.Add(m_batches_, 1);
+      BatchRequest request;
+      if (!DecodeBatchRequest(cut.payload, request)) {
+        ReplyError(conn, id, ErrorCode::kMalformedPayload,
+                   "undecodable BATCH payload");
+        return;
+      }
+      if (refuse_while_draining()) return;
+      if (request.jobs.empty()) {
+        BatchResponse response;
+        response.graph_epoch = repl_epoch_.load();
+        front_end_->Enqueue(conn, Opcode::kBatchResult, id,
+                            EncodeBatchResponse(response));
+        return;
+      }
+      // Jobs of many requests share one sub-batch, so the batch-level
+      // deadline moves into every job without a usable one of its own:
+      // the shard's EffectiveDeadlineMs rule, applied here.
+      for (WireQuery& job : request.jobs) {
+        if (!UsableDeadline(job.deadline_ms)) {
+          job.deadline_ms = request.deadline_ms;
+        }
+      }
+      AddRequest(conn, id, /*is_query=*/false, std::move(request.jobs));
+      return;
+    }
+    case Opcode::kUpdateWeights: {
+      metrics_.Add(m_updates_, 1);
+      UpdateWeightsRequest request;
+      if (!DecodeUpdateWeightsRequest(cut.payload, request)) {
+        ReplyError(conn, id, ErrorCode::kMalformedPayload,
+                   "undecodable UPDATE_WEIGHTS payload");
+        return;
+      }
+      if (refuse_while_draining()) return;
+      // Per-connection order: frames behind the update are not cut until
+      // it has answered (so they fan out at the new epoch), and the
+      // update goes out only once the connection's earlier requests have
+      // answered (so none of them is caught mid-update).
+      front_end_->Hold(*conn);
+      unanswered_.fetch_add(1);
+      auto send = [this, conn, id, request = std::move(request)] {
+        RunOnControl([this, conn, id, request] {
+          UpdateWeightsResponse response;
+          ErrorCode code = ErrorCode::kNone;
+          std::string message;
+          HandleUpdate(request, response, &code, &message);
+          front_end_->Post([this, conn, id, response, code, message] {
+            if (code != ErrorCode::kNone) {
+              ReplyError(conn, id, code, message);
+            } else {
+              front_end_->Enqueue(conn, Opcode::kUpdateResult, id,
+                                  EncodeUpdateWeightsResponse(response));
+            }
+            front_end_->Release(conn);
+            unanswered_.fetch_sub(1);
+          });
+        });
+      };
+      auto it = clients_.find(conn.get());
+      if (it == clients_.end()) {
+        send();
       } else {
-        w.batch_level.transport_ok = false;
-        w.batch_level.error_message = "undecodable error frame";
-        client.Close();
+        it->second.held_update = std::move(send);
       }
+      return;
+    }
+    case Opcode::kReplApply:
+      // Replication is router -> shard; a client replicating through
+      // the router would fork the epoch sequence.
+      ReplyError(conn, id, ErrorCode::kUnknownOpcode,
+                 "REPL_APPLY is not served by the router");
+      return;
+    default:
+      ReplyError(conn, id, ErrorCode::kUnknownOpcode,
+                 "opcode " + std::to_string(cut.header.opcode) +
+                     " is not a request opcode");
+      return;
+  }
+}
+
+void FannRouter::AddRequest(const std::shared_ptr<Connection>& client,
+                            uint64_t request_id, bool is_query,
+                            std::vector<WireQuery> jobs) {
+  if (open_burst_ == nullptr) {
+    open_burst_ = std::make_shared<Burst>(links_.size());
+  }
+  Burst& burst = *open_burst_;
+  const auto r = static_cast<uint32_t>(burst.requests.size());
+  burst.requests.push_back({client, request_id, is_query, jobs.size()});
+  auto add = [&](uint32_t shard, const WireQuery& job, uint32_t j,
+                 std::vector<uint32_t> p) {
+    WireQuery sub = job;
+    sub.p = std::move(p);
+    burst.sub[shard].jobs.push_back(std::move(sub));
+    burst.slots[shard].emplace_back(r, j);
+  };
+  for (uint32_t j = 0; j < jobs.size(); ++j) {
+    const WireQuery& job = jobs[j];
+    // Jobs the plan cannot place — empty P or ids outside the graph —
+    // pass through to shard 0 whole, so the client sees the identical
+    // screening rejection a single server would produce. Every other
+    // job sends its shard-owned P-slice to each shard owning part of P.
+    const bool splittable =
+        !job.p.empty() &&
+        std::all_of(job.p.begin(), job.p.end(),
+                    [&](uint32_t v) { return v < plan_.num_vertices(); });
+    if (!splittable) {
+      add(0, job, j, job.p);
       continue;
     }
-    if (!DecodeBatchResponse(payload, w.response) ||
-        w.response.results.size() != sub_batches[w.shard].jobs.size()) {
-      w.batch_level.transport_ok = false;
-      w.batch_level.error_message = "undecodable BATCH_RESULT payload";
-      client.Close();
-      continue;
+    std::vector<std::vector<uint32_t>> parts = plan_.SplitByShard(job.p);
+    for (uint32_t s = 0; s < parts.size(); ++s) {
+      if (!parts[s].empty()) add(s, job, j, std::move(parts[s]));
     }
-    w.batch_level.graph_epoch = w.response.graph_epoch;
+  }
+  ++clients_[client.get()].fanouts;
+  unanswered_.fetch_add(1);
+}
+
+void FannRouter::Answered(const std::shared_ptr<Connection>& client) {
+  unanswered_.fetch_sub(1);
+  auto it = clients_.find(client.get());
+  if (--it->second.fanouts > 0) return;
+  const std::function<void()> held_update = std::move(it->second.held_update);
+  clients_.erase(it);
+  if (held_update) held_update();
+}
+
+void FannRouter::OnPassEnd() {
+  if (open_burst_ == nullptr) return;
+  std::shared_ptr<Burst> burst = std::move(open_burst_);
+  open_burst_.reset();
+  burst->admitted_epoch = repl_epoch_.load();
+  Dispatch(burst);
+}
+
+void FannRouter::Dispatch(const std::shared_ptr<Burst>& burst) {
+  std::vector<uint32_t> targets;
+  for (uint32_t s = 0; s < links_.size(); ++s) {
+    burst->answers[s] = ShardAnswer{};
+    burst->answers[s].shard = s;
+    burst->replies[s] = BatchResponse{};
+    if (!burst->sub[s].jobs.empty()) targets.push_back(s);
+  }
+  // Counted before any send: a failing link completes the burst at once.
+  burst->awaiting = targets.size();
+  for (const uint32_t s : targets) SendSubBatch(burst, s);
+}
+
+void FannRouter::SendSubBatch(const std::shared_ptr<Burst>& burst,
+                              uint32_t shard) {
+  ShardLink& link = links_[shard];
+  if (link.conn == nullptr) {
+    link.parked.push_back(burst);
+    if (link.dialing) return;
+    link.dialing = true;
+    const ShardAddress address = config_.shards[shard];
+    RunOnControl([this, shard, address] {
+      std::string error;
+      auto sock = std::make_shared<Socket>(
+          TcpConnect(address.host, address.port, &error));
+      front_end_->Post([this, shard, sock, error] {
+        OnDialed(shard, std::move(*sock), error);
+      });
+    });
+    return;
+  }
+  const uint64_t id = next_sub_batch_id_++;
+  link.in_flight.emplace(id, burst);
+  metrics_.Add(m_fanouts_, 1);
+  metrics_.Add(m_fanout_jobs_, burst->sub[shard].jobs.size());
+  front_end_->Enqueue(link.conn, Opcode::kBatch, id,
+                      EncodeBatchRequest(burst->sub[shard]));
+}
+
+void FannRouter::OnDialed(uint32_t shard, Socket sock,
+                          const std::string& error) {
+  ShardLink& link = links_[shard];
+  link.dialing = false;
+  if (!sock.valid()) {
+    FailLink(shard, error);
+    return;
+  }
+  std::shared_ptr<Connection> conn = front_end_->Adopt(std::move(sock));
+  if (!conn->open.load()) {
+    FailLink(shard, "could not register the shard connection");
+    return;
+  }
+  link.conn = std::move(conn);
+  std::vector<std::shared_ptr<Burst>> parked;
+  parked.swap(link.parked);
+  for (const std::shared_ptr<Burst>& burst : parked) {
+    SendSubBatch(burst, shard);
+  }
+}
+
+void FannRouter::OnClose(const std::shared_ptr<Connection>& conn) {
+  if (!conn->outbound) return;  // late answers to it are dropped unsent
+  for (uint32_t s = 0; s < links_.size(); ++s) {
+    if (links_[s].conn == conn) {
+      FailLink(s, "connection closed while awaiting response");
+    }
+  }
+}
+
+void FannRouter::FailLink(uint32_t shard, const std::string& error) {
+  ShardLink& link = links_[shard];
+  link.conn.reset();
+  std::vector<std::shared_ptr<Burst>> failed;
+  failed.swap(link.parked);
+  for (auto& [id, burst] : link.in_flight) failed.push_back(std::move(burst));
+  link.in_flight.clear();
+  for (const std::shared_ptr<Burst>& burst : failed) {
+    burst->answers[shard].transport_ok = false;
+    burst->answers[shard].error_message = error;
+    if (--burst->awaiting == 0) Complete(burst);
+  }
+}
+
+void FannRouter::OnShardReply(uint32_t shard, FrameCut& cut) {
+  ShardLink& link = links_[shard];
+  auto it = link.in_flight.find(cut.header.request_id);
+  if (it == link.in_flight.end()) return;  // answers nothing outstanding
+  const std::shared_ptr<Burst> burst = std::move(it->second);
+  link.in_flight.erase(it);
+
+  ShardAnswer& answer = burst->answers[shard];
+  BatchResponse& reply = burst->replies[shard];
+  answer.transport_ok = true;
+  const Opcode opcode = static_cast<Opcode>(cut.header.opcode);
+  if (opcode == Opcode::kError) {
+    ErrorResponse err;
+    if (DecodeErrorResponse(cut.payload, err)) {
+      answer.is_error = true;
+      answer.error_code = err.code;
+      answer.error_message = std::move(err.message);
+    } else {
+      answer.transport_ok = false;
+      answer.error_message = "undecodable error frame";
+    }
+  } else if (opcode != Opcode::kBatchResult ||
+             !DecodeBatchResponse(cut.payload, reply) ||
+             reply.results.size() != burst->sub[shard].jobs.size()) {
+    answer.transport_ok = false;
+    answer.error_message = "undecodable BATCH_RESULT payload";
+  } else {
+    answer.graph_epoch = reply.graph_epoch;
+  }
+  if (--burst->awaiting == 0) Complete(burst);
+}
+
+void FannRouter::Complete(const std::shared_ptr<Burst>& burst) {
+  // Batch-level severity first: a transport failure or an error frame
+  // (overload, drain) on any shard fails every request of the burst,
+  // exactly as a single server fails a whole batch with one kError.
+  std::vector<ShardAnswer> reached;
+  for (uint32_t s = 0; s < links_.size(); ++s) {
+    if (!burst->sub[s].jobs.empty()) reached.push_back(burst->answers[s]);
+  }
+  const MergedAnswer verdict = MergeShardAnswers(reached);
+  if (verdict.is_error) {
+    metrics_.Add(m_shard_errors_, 1);
+    for (const Burst::Request& request : burst->requests) {
+      ReplyError(request.client, request.request_id, verdict.error_code,
+                 verdict.error_message);
+      Answered(request.client);
+    }
+    return;
   }
 
-  // Batch-level severity first: a transport failure or an error frame
-  // (overload, drain) anywhere fails the whole request, exactly as a
-  // single server fails the whole batch with one kError frame.
-  {
-    std::vector<ShardAnswer> batch_level;
-    batch_level.reserve(wave.size());
-    for (const ShardWave& w : wave) batch_level.push_back(w.batch_level);
-    if (!batch_level.empty()) {
-      const MergedAnswer verdict = MergeShardAnswers(batch_level);
-      if (verdict.is_error) {
-        metrics_.Add(m_shard_errors_, 1);
-        outcome.is_error = true;
-        outcome.error_code = verdict.error_code;
-        outcome.error_message = verdict.error_message;
-        return outcome;
-      }
-      outcome.graph_epoch = verdict.graph_epoch;
-      outcome.epochs_disagree = verdict.epochs_disagree;
+  std::string stale_reason;
+  if (verdict.epochs_disagree) {
+    if (!burst->retried) {
+      // A straggler replica (or an update racing the fan-out): bring
+      // the fleet back in step off the loop, then re-issue the burst.
+      burst->retried = true;
+      metrics_.Add(m_retries_, 1);
+      RunOnControl([this, burst] {
+        SyncShards();
+        front_end_->Post([this, burst] { Dispatch(burst); });
+      });
+      return;
     }
+    // Still split after one sync: reject rather than return results
+    // mixing weights from different epochs.
+    metrics_.Add(m_stale_rejections_, 1);
+    stale_reason = MidBatchEpochError(burst->admitted_epoch,
+                                      verdict.graph_epoch);
   }
 
   // Per-job canonical merge.
-  outcome.results.resize(jobs.size());
-  std::vector<std::vector<ShardAnswer>> per_job(jobs.size());
-  for (size_t j = 0; j < jobs.size(); ++j) per_job[j].reserve(fan_degree[j]);
-  for (const ShardWave& w : wave) {
-    for (size_t i = 0; i < sub_jobs[w.shard].size(); ++i) {
+  std::vector<std::vector<std::vector<ShardAnswer>>> per_job(
+      burst->requests.size());
+  for (size_t r = 0; r < burst->requests.size(); ++r) {
+    per_job[r].resize(burst->requests[r].num_jobs);
+  }
+  for (uint32_t s = 0; s < links_.size(); ++s) {
+    for (size_t i = 0; i < burst->slots[s].size(); ++i) {
+      const auto [r, j] = burst->slots[s][i];
       ShardAnswer a;
-      a.shard = w.shard;
+      a.shard = s;
       a.transport_ok = true;
-      a.graph_epoch = w.response.graph_epoch;
-      a.result = w.response.results[i];
-      per_job[sub_jobs[w.shard][i]].push_back(std::move(a));
+      a.graph_epoch = burst->replies[s].graph_epoch;
+      a.result = std::move(burst->replies[s].results[i]);
+      per_job[r][j].push_back(std::move(a));
     }
   }
-  for (size_t j = 0; j < jobs.size(); ++j) {
-    FANNR_CHECK(!per_job[j].empty());
-    outcome.results[j] = MergeShardAnswers(per_job[j]).result;
+  for (size_t r = 0; r < burst->requests.size(); ++r) {
+    const Burst::Request& request = burst->requests[r];
+    std::vector<WireResult> results(request.num_jobs);
+    for (size_t j = 0; j < results.size(); ++j) {
+      results[j] = stale_reason.empty()
+                       ? MergeShardAnswers(per_job[r][j]).result
+                       : RejectedWire(stale_reason);
+    }
+    if (request.is_query) {
+      QueryResponse response;
+      response.graph_epoch = verdict.graph_epoch;
+      response.result = std::move(results.front());
+      front_end_->Enqueue(request.client, Opcode::kQueryResult,
+                          request.request_id, EncodeQueryResponse(response));
+    } else {
+      BatchResponse response;
+      response.graph_epoch = verdict.graph_epoch;
+      response.results = std::move(results);
+      front_end_->Enqueue(request.client, Opcode::kBatchResult,
+                          request.request_id, EncodeBatchResponse(response));
+    }
+    Answered(request.client);
   }
-  return outcome;
-}
-
-FannRouter::FanOutOutcome FannRouter::FanOut(ConnEntry& conn,
-                                             const std::vector<WireQuery>& jobs,
-                                             double batch_deadline_ms) {
-  const uint64_t admitted = repl_epoch_.load();
-  FanOutOutcome outcome = FanOutOnce(conn, jobs, batch_deadline_ms);
-  if (outcome.is_error || !outcome.epochs_disagree) return outcome;
-
-  // Shards answered under different epochs: a straggler replica (or an
-  // update racing the fan-out). Bring the fleet back in step and retry
-  // once; if the disagreement persists, reject rather than return a
-  // result mixing weights from different epochs.
-  metrics_.Add(m_retries_, 1);
-  SyncShards();
-  outcome = FanOutOnce(conn, jobs, batch_deadline_ms);
-  if (outcome.is_error || !outcome.epochs_disagree) return outcome;
-
-  metrics_.Add(m_stale_rejections_, 1);
-  const std::string reason = MidBatchEpochError(admitted, outcome.graph_epoch);
-  for (WireResult& result : outcome.results) result = RejectedWire(reason);
-  outcome.epochs_disagree = false;
-  return outcome;
 }
 
 bool FannRouter::EnsureReplClientLocked(size_t shard) {
@@ -608,148 +859,6 @@ void FannRouter::HandleUpdate(const UpdateWeightsRequest& request,
   repl_epoch_.store(response.new_epoch);
 }
 
-void FannRouter::ServeConnection(ConnEntry* entry) {
-  Socket& sock = entry->sock;
-  auto write_frame = [&](Opcode opcode, uint64_t request_id,
-                         std::span<const uint8_t> payload) {
-    const std::vector<uint8_t> frame =
-        EncodeFrame(static_cast<uint16_t>(opcode), request_id, payload);
-    return sock.WriteFull(frame.data(), frame.size());
-  };
-  auto write_error = [&](uint64_t request_id, ErrorCode code,
-                         std::string message) {
-    ErrorResponse err;
-    err.code = code;
-    err.message = std::move(message);
-    return write_frame(Opcode::kError, request_id, EncodeErrorResponse(err));
-  };
-
-  while (!stop_.load()) {
-    uint8_t header_bytes[kFrameHeaderBytes];
-    if (!sock.ReadFull(header_bytes, sizeof(header_bytes))) break;
-    FrameHeader header;
-    if (!DecodeFrameHeader(header_bytes, header)) break;
-    bool fatal = false;
-    const std::string envelope_error = FrameEnvelopeError(header, &fatal);
-    if (fatal) break;
-    std::vector<uint8_t> payload(header.payload_length);
-    if (header.payload_length > 0 &&
-        !sock.ReadFull(payload.data(), payload.size())) {
-      break;
-    }
-    if (!envelope_error.empty()) {
-      if (!write_error(header.request_id,
-                       header.version != kProtocolVersion
-                           ? ErrorCode::kUnsupportedVersion
-                           : ErrorCode::kUnknownOpcode,
-                       envelope_error)) {
-        break;
-      }
-      continue;
-    }
-
-    bool ok = true;
-    switch (static_cast<Opcode>(header.opcode)) {
-      case Opcode::kPing:
-        ok = write_frame(Opcode::kPong, header.request_id, {});
-        break;
-      case Opcode::kStats: {
-        StatsResponse stats;
-        stats.json = StatsJson();
-        ok = write_frame(Opcode::kStatsResult, header.request_id,
-                         EncodeStatsResponse(stats));
-        break;
-      }
-      case Opcode::kShutdown:
-        ok = write_frame(Opcode::kShutdownAck, header.request_id, {});
-        RequestShutdown();
-        break;
-      case Opcode::kQuery: {
-        metrics_.Add(m_queries_, 1);
-        QueryRequest request;
-        if (!DecodeQueryRequest(payload, request)) {
-          ok = write_error(header.request_id, ErrorCode::kMalformedPayload,
-                           "undecodable QUERY payload");
-          break;
-        }
-        const FanOutOutcome outcome =
-            FanOut(*entry, {request.query}, request.query.deadline_ms);
-        if (outcome.is_error) {
-          ok = write_error(header.request_id, outcome.error_code,
-                           outcome.error_message);
-          break;
-        }
-        QueryResponse response;
-        response.graph_epoch = outcome.graph_epoch;
-        response.result = outcome.results.front();
-        ok = write_frame(Opcode::kQueryResult, header.request_id,
-                         EncodeQueryResponse(response));
-        break;
-      }
-      case Opcode::kBatch: {
-        metrics_.Add(m_batches_, 1);
-        BatchRequest request;
-        if (!DecodeBatchRequest(payload, request)) {
-          ok = write_error(header.request_id, ErrorCode::kMalformedPayload,
-                           "undecodable BATCH payload");
-          break;
-        }
-        if (request.jobs.empty()) {
-          BatchResponse response;
-          response.graph_epoch = repl_epoch_.load();
-          ok = write_frame(Opcode::kBatchResult, header.request_id,
-                           EncodeBatchResponse(response));
-          break;
-        }
-        const FanOutOutcome outcome =
-            FanOut(*entry, request.jobs, request.deadline_ms);
-        if (outcome.is_error) {
-          ok = write_error(header.request_id, outcome.error_code,
-                           outcome.error_message);
-          break;
-        }
-        BatchResponse response;
-        response.graph_epoch = outcome.graph_epoch;
-        response.results = outcome.results;
-        ok = write_frame(Opcode::kBatchResult, header.request_id,
-                         EncodeBatchResponse(response));
-        break;
-      }
-      case Opcode::kUpdateWeights: {
-        metrics_.Add(m_updates_, 1);
-        UpdateWeightsRequest request;
-        if (!DecodeUpdateWeightsRequest(payload, request)) {
-          ok = write_error(header.request_id, ErrorCode::kMalformedPayload,
-                           "undecodable UPDATE_WEIGHTS payload");
-          break;
-        }
-        UpdateWeightsResponse response;
-        ErrorCode code = ErrorCode::kNone;
-        std::string message;
-        HandleUpdate(request, response, &code, &message);
-        ok = code != ErrorCode::kNone
-                 ? write_error(header.request_id, code, std::move(message))
-                 : write_frame(Opcode::kUpdateResult, header.request_id,
-                               EncodeUpdateWeightsResponse(response));
-        break;
-      }
-      case Opcode::kReplApply:
-        // Replication is router -> shard; a client replicating through
-        // the router would fork the epoch sequence.
-        ok = write_error(header.request_id, ErrorCode::kUnknownOpcode,
-                         "REPL_APPLY is not served by the router");
-        break;
-      default:
-        ok = write_error(header.request_id, ErrorCode::kUnknownOpcode,
-                         "opcode " + std::to_string(header.opcode) +
-                             " is not a request opcode");
-        break;
-    }
-    if (!ok) break;
-  }
-  entry->done.store(true);
-}
-
 std::string FannRouter::StatsJson() const {
   const obs::MetricsSnapshot snapshot = metrics_.Snapshot();
   std::string out = "{\n  \"router\": {\n    \"counters\": {";
@@ -761,7 +870,8 @@ std::string FannRouter::StatsJson() const {
   out += "}\n  },\n";
   out += "  \"num_shards\": " + std::to_string(config_.shards.size()) + ",\n";
   out += "  \"repl_epoch\": " + std::to_string(repl_epoch_.load()) + ",\n";
-  out += "  \"draining\": " + std::string(stop_.load() ? "true" : "false") +
+  out += "  \"draining\": " +
+         std::string(draining_.load() ? "true" : "false") +
          "\n}";
   return out;
 }

@@ -24,28 +24,35 @@
 // client as the engine's mid-batch epoch rejection rather than an
 // answer silently mixing weights from different epochs.
 //
-// Threading: one blocking accept loop plus one thread per client
-// connection, each owning its own per-shard query connections (the
-// pipelined client API overlaps the shards' work). Replication and
-// catch-up serialize on one mutex — updates are rare and total-ordered
-// by design.
+// Threading: the router is a handler behind the epoll front end of
+// net/front_end.h, with one loop that owns the client connections and
+// one pipelined link per shard. Every QUERY and BATCH cut in one loop
+// pass joins a *burst*, sent as one BATCH sub-batch per shard; the burst
+// is the unit of failure and of the epoch sync-and-retry. Everything
+// that blocks on a shard (replication, catch-up, syncs, dials) runs on
+// one control thread. Frames behind an UPDATE_WEIGHTS wait for it, and
+// it waits for the earlier requests of its connection (DESIGN.md §2.13).
 
 #ifndef FANNR_NET_ROUTER_H_
 #define FANNR_NET_ROUTER_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "dynamic/wal.h"
 #include "net/client.h"
+#include "net/front_end.h"
 #include "net/protocol.h"
 #include "net/shard_plan.h"
-#include "net/socket.h"
 #include "obs/metrics.h"
 
 namespace fannr::net {
@@ -110,7 +117,7 @@ struct MergedAnswer {
 /// all-ok merges by canonical order with gphi_evaluations summed.
 MergedAnswer MergeShardAnswers(const std::vector<ShardAnswer>& answers);
 
-class FannRouter {
+class FannRouter : private FrameHandler {
  public:
   /// `plan.num_shards()` must equal `config.shards.size()`.
   FannRouter(const ShardPlan& plan, RouterConfig config);
@@ -125,14 +132,17 @@ class FannRouter {
   /// shards must be reachable at start.
   bool Start(std::string* error);
 
-  /// Begins shutdown: stops accepting, wakes every connection thread.
-  /// Shards are NOT shut down — they belong to the operator.
+  /// Begins shutdown: stops accepting and refuses new work with
+  /// SHUTTING_DOWN. Async-signal-safe. Shards are NOT shut down — they
+  /// belong to the operator.
   void RequestShutdown();
 
-  /// Joins the accept loop and every connection thread.
+  /// Blocks until a shutdown is requested, lets unanswered requests
+  /// finish (bounded), then closes every connection and joins the loop
+  /// and the control thread. Returns at once when not started.
   void Wait();
 
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return front_end_->port(); }
 
   /// The fleet's replication position: the epoch every in-sync replica
   /// is at.
@@ -142,38 +152,44 @@ class FannRouter {
   std::string StatsJson() const;
 
  private:
-  struct ConnEntry;
+  struct Burst;
+  struct ShardLink;
 
-  /// One job's fan-out assignment: which shards receive which P-subset.
-  struct JobSplit {
-    /// Parallel vectors: sub_p[i] goes to shard target[i].
-    std::vector<uint32_t> targets;
-    std::vector<std::vector<uint32_t>> sub_p;
-  };
+  // --- Event loop (FrameHandler) ---
+  void OnFrame(const std::shared_ptr<Connection>& conn,
+               FrameCut& cut) override;
+  /// Sends the burst built during this pass.
+  void OnPassEnd() override;
+  /// A closed shard link fails every sub-batch in flight on it.
+  void OnClose(const std::shared_ptr<Connection>& conn) override;
 
-  /// Outcome of fanning a set of jobs out and merging every answer.
-  struct FanOutOutcome {
-    bool is_error = false;  // batch-level error -> one kError frame
-    ErrorCode error_code = ErrorCode::kNone;
-    std::string error_message;
-    bool epochs_disagree = false;
-    uint64_t graph_epoch = 0;
-    std::vector<WireResult> results;  // per job, when !is_error
-  };
+  /// Appends one client request's jobs to the open burst.
+  void AddRequest(const std::shared_ptr<Connection>& client,
+                  uint64_t request_id, bool is_query,
+                  std::vector<WireQuery> jobs);
+  /// Sends (or re-sends) every sub-batch of `burst`.
+  void Dispatch(const std::shared_ptr<Burst>& burst);
+  /// Sends shard `shard`'s sub-batch, or parks it until the link is up.
+  void SendSubBatch(const std::shared_ptr<Burst>& burst, uint32_t shard);
+  /// The control thread's dial of `shard` finished.
+  void OnDialed(uint32_t shard, Socket sock, const std::string& error);
+  void OnShardReply(uint32_t shard, FrameCut& cut);
+  /// Fails every sub-batch parked on or in flight over `shard`'s link.
+  void FailLink(uint32_t shard, const std::string& error);
+  /// Counts one answered fan-out of `client`; its last one lets a held
+  /// UPDATE_WEIGHTS go out.
+  void Answered(const std::shared_ptr<Connection>& client);
+  /// Once every shard of `burst` has answered: merges and answers its
+  /// client requests (or syncs the fleet and re-issues it once on epoch
+  /// disagreement).
+  void Complete(const std::shared_ptr<Burst>& burst);
 
-  void AcceptLoop();
-  void ServeConnection(ConnEntry* entry);
-  void ReapFinishedLocked();
+  void ReplyError(const std::shared_ptr<Connection>& conn,
+                  uint64_t request_id, ErrorCode code, std::string message);
 
-  JobSplit SplitJob(const WireQuery& job) const;
-  FanOutOutcome FanOutOnce(ConnEntry& conn,
-                           const std::vector<WireQuery>& jobs,
-                           double batch_deadline_ms);
-  /// FanOutOnce plus the stale-replica protocol: on epoch disagreement,
-  /// sync every shard and retry once; a persistent disagreement rejects
-  /// every job with the engine's mid-batch epoch error.
-  FanOutOutcome FanOut(ConnEntry& conn, const std::vector<WireQuery>& jobs,
-                       double batch_deadline_ms);
+  // --- Control thread ---
+  void ControlMain();
+  void RunOnControl(std::function<void()> task);
 
   /// Replicates one update batch to every shard (REPL_APPLY at the
   /// current fleet epoch), appends it to the durable history, and
@@ -193,15 +209,31 @@ class FannRouter {
 
   const ShardPlan& plan_;
   RouterConfig config_;
-  uint16_t port_ = 0;
 
-  Socket listener_;
-  int stop_event_ = -1;  ///< eventfd; written once to wake the acceptor.
-  std::atomic<bool> stop_{false};
-  std::thread accept_thread_;
+  /// Blocking eventfd RequestShutdown writes and Wait() reads.
+  int drain_wake_fd_ = -1;
+  std::atomic<bool> draining_{false};
+  std::atomic<bool> started_{false};
+  /// Client requests (fan-outs and updates) not yet answered. Written on
+  /// the loop, read by Wait to let the drain finish them.
+  std::atomic<size_t> unanswered_{0};
 
-  std::mutex conn_mu_;
-  std::vector<std::unique_ptr<ConnEntry>> conns_;
+  // Loop-thread-only fan-out state.
+  std::vector<ShardLink> links_;
+  /// Per client connection with fan-outs unanswered: their count, and
+  /// the UPDATE_WEIGHTS send waiting for it to reach zero.
+  struct ClientState {
+    size_t fanouts = 0;
+    std::function<void()> held_update;
+  };
+  std::unordered_map<const Connection*, ClientState> clients_;
+  std::shared_ptr<Burst> open_burst_;
+  uint64_t next_sub_batch_id_ = 1;
+
+  std::mutex control_mu_;
+  std::condition_variable control_cv_;
+  std::deque<std::function<void()>> control_tasks_;
+  bool control_stop_ = false;
 
   /// Replication state: one shared client per shard plus the ordered
   /// history of every replicated batch, all under repl_mu_.
@@ -215,10 +247,17 @@ class FannRouter {
   obs::CounterId m_batches_;
   obs::CounterId m_updates_;
   obs::CounterId m_fanouts_;
+  obs::CounterId m_fanout_jobs_;
   obs::CounterId m_retries_;
   obs::CounterId m_stale_rejections_;
   obs::CounterId m_catch_up_records_;
   obs::CounterId m_shard_errors_;
+  obs::CounterId m_errors_;
+
+  std::thread control_thread_;
+  /// Declared last: destroyed first, while everything its loop calls
+  /// back into is still alive.
+  std::unique_ptr<FrontEnd> front_end_;
 };
 
 }  // namespace fannr::net

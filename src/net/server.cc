@@ -1,16 +1,11 @@
 #include "net/server.h"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/epoll.h>
 #include <sys/eventfd.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
-#include <unordered_map>
 #include <utility>
 
 #include "common/timer.h"
@@ -62,70 +57,7 @@ std::string HistogramStatsJson(const obs::HistogramSnapshot& h) {
          "}";
 }
 
-/// epoll user-data tags for the two non-connection descriptors each
-/// loop watches. Real heap Connection pointers can never collide with
-/// these values.
-constexpr uint64_t kWakeTag = 1;
-constexpr uint64_t kListenerTag = 2;
-
-/// Cap on the post-io_stop_ flush of remaining transmit queues. Only a
-/// peer that stops reading mid-drain can make us wait this long.
-constexpr double kDrainFlushCapMs = 2'000.0;
-
-/// Backoff after an accept failure that does not clear the listener's
-/// readability (EMFILE/ENFILE/ENOBUFS/...): the listener is deregistered
-/// for this long, then re-armed. Bounds the accept loop to ~20 wakeups/s
-/// while the fd table stays exhausted instead of a 100% CPU spin.
-constexpr double kAcceptBackoffMs = 50.0;
-
 }  // namespace
-
-/// One accepted client connection, owned by exactly one event loop.
-/// Receive-side state (`in`, read_paused, registered, want_write) is
-/// touched only by that loop's thread; the transmit queue is shared
-/// with the executor under out_mu (appended anywhere, flushed only by
-/// the loop thread so socket writes never interleave).
-struct FannServer::Connection {
-  Socket sock;
-  size_t loop_index = 0;
-  std::atomic<bool> open{true};
-
-  // Loop-thread-only.
-  ByteQueue in;
-  bool read_paused = false;   ///< Backpressure: EPOLLIN disarmed.
-  bool registered = false;    ///< In the loop's epoll set and conns map.
-  bool want_write = false;    ///< EPOLLOUT armed (transmit queue nonempty).
-
-  // Shared with response writers.
-  std::mutex out_mu;
-  ByteQueue out;
-};
-
-/// One epoll event loop. `conns` is keyed by raw pointer so a stale
-/// data.ptr from an event batch that already closed the connection is
-/// detected by lookup instead of dereferenced. The mailbox
-/// (pending_add/dirty) is how other threads hand this loop work.
-struct FannServer::IoLoop {
-  int epoll_fd = -1;
-  int wake_fd = -1;  ///< Nonblocking eventfd; readable until drained.
-  std::thread thread;
-  std::atomic<std::thread::id> thread_id{};
-  bool accepting = false;  ///< Loop 0 watches the listener until drain.
-  /// Listener temporarily deregistered after EMFILE-class accept
-  /// failures; re-armed once accept_backoff passes kAcceptBackoffMs.
-  bool accept_paused = false;
-  Timer accept_backoff;
-  std::unordered_map<Connection*, std::shared_ptr<Connection>> conns;
-
-  std::mutex mail_mu;
-  std::vector<std::shared_ptr<Connection>> pending_add;
-  std::vector<std::shared_ptr<Connection>> dirty;
-
-  ~IoLoop() {
-    if (epoll_fd >= 0) ::close(epoll_fd);
-    if (wake_fd >= 0) ::close(wake_fd);
-  }
-};
 
 /// One admitted unit of work, queued FIFO for the executor.
 struct FannServer::WorkItem {
@@ -167,9 +99,12 @@ FannServer::FannServer(Graph* graph, const GphiResources& resources,
   m_req_repl_ = metrics_.RegisterCounter("server.requests.repl_apply");
   m_errors_ = metrics_.RegisterCounter("server.responses.error");
   m_overloaded_ = metrics_.RegisterCounter("server.overloaded");
-  m_bad_frames_ = metrics_.RegisterCounter("server.bad_frames");
-  m_connections_ = metrics_.RegisterCounter("server.connections");
-  m_accept_errors_ = metrics_.RegisterCounter("server.accept_errors");
+  FrontEndCounters front_end_counters;
+  front_end_counters.bad_frames = metrics_.RegisterCounter("server.bad_frames");
+  front_end_counters.connections =
+      metrics_.RegisterCounter("server.connections");
+  front_end_counters.accept_errors =
+      metrics_.RegisterCounter("server.accept_errors");
   m_stale_admission_ =
       metrics_.RegisterCounter("server.rejected_stale_admission");
   m_req_subscribe_ = metrics_.RegisterCounter("server.requests.subscribe");
@@ -192,6 +127,18 @@ FannServer::FannServer(Graph* graph, const GphiResources& resources,
       "server.queue_wait_ms", obs::DefaultLatencyBucketsMs());
   m_push_latency_ms_ = metrics_.RegisterHistogram(
       "server.push_latency_ms", obs::DefaultLatencyBucketsMs());
+
+  front_end_counters.overloaded = m_overloaded_;
+  front_end_counters.errors = m_errors_;
+  FrontEndConfig front_end_config;
+  front_end_config.host = config_.host;
+  front_end_config.port = config_.port;
+  front_end_config.num_loops = config_.num_io_threads;
+  front_end_config.max_connections = config_.max_connections;
+  front_end_config.max_outbound_bytes = config_.max_outbound_bytes;
+  front_end_ = std::make_unique<FrontEnd>(
+      std::move(front_end_config), static_cast<FrameHandler*>(this),
+      &metrics_, front_end_counters);
 }
 
 FannServer::~FannServer() {
@@ -210,41 +157,8 @@ bool FannServer::Start(std::string* error) {
     if (error != nullptr) *error = "eventfd failed";
     return false;
   }
-  listener_ = TcpListen(config_.host, config_.port, &port_, error);
-  if (!listener_.valid()) return false;
-  if (!listener_.SetNonBlocking()) {
-    if (error != nullptr) *error = "could not set listener nonblocking";
-    return false;
-  }
-
-  const size_t num_loops = std::max<size_t>(config_.num_io_threads, 1);
-  io_loops_.clear();
-  for (size_t i = 0; i < num_loops; ++i) {
-    auto loop = std::make_unique<IoLoop>();
-    loop->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
-    loop->wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-    if (loop->epoll_fd < 0 || loop->wake_fd < 0) {
-      if (error != nullptr) *error = "epoll/eventfd setup failed";
-      io_loops_.clear();
-      return false;
-    }
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = kWakeTag;
-    ::epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, loop->wake_fd, &ev);
-    if (i == 0) {
-      ev.data.u64 = kListenerTag;
-      ::epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, listener_.fd(), &ev);
-      loop->accepting = true;
-    }
-    io_loops_.push_back(std::move(loop));
-  }
-
+  if (!front_end_->Start(error)) return false;
   started_.store(true, std::memory_order_relaxed);
-  io_stop_.store(false, std::memory_order_relaxed);
-  for (size_t i = 0; i < io_loops_.size(); ++i) {
-    io_loops_[i]->thread = std::thread(&FannServer::IoLoopMain, this, i);
-  }
   executor_thread_ = std::thread(&FannServer::ExecutorMain, this);
   return true;
 }
@@ -261,234 +175,17 @@ void FannServer::RequestShutdown() {
   if (drain_wake_fd_ >= 0) {
     [[maybe_unused]] ssize_t n = ::write(drain_wake_fd_, &one, sizeof(one));
   }
-  for (const std::unique_ptr<IoLoop>& loop : io_loops_) {
-    [[maybe_unused]] ssize_t n = ::write(loop->wake_fd, &one, sizeof(one));
-  }
+  front_end_->StopAccepting();
 }
 
 size_t FannServer::tracked_connection_threads() const {
-  return io_loops_.size();
+  return front_end_->num_loops();
 }
 
-void FannServer::WakeLoop(IoLoop& loop) {
-  const uint64_t one = 1;
-  [[maybe_unused]] ssize_t n = ::write(loop.wake_fd, &one, sizeof(one));
-}
-
-void FannServer::IoLoopMain(size_t index) {
-  IoLoop& loop = *io_loops_[index];
-  loop.thread_id.store(std::this_thread::get_id(), std::memory_order_relaxed);
-  std::vector<epoll_event> events(128);
-  while (!io_stop_.load(std::memory_order_acquire)) {
-    int timeout = -1;
-    if (loop.accepting && loop.accept_paused) {
-      const double remaining = kAcceptBackoffMs - loop.accept_backoff.Millis();
-      timeout = remaining <= 0.0 ? 0 : static_cast<int>(remaining) + 1;
-    }
-    const int n = ::epoll_wait(loop.epoll_fd, events.data(),
-                               static_cast<int>(events.size()), timeout);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    for (int i = 0; i < n; ++i) {
-      const epoll_event& ev = events[i];
-      if (ev.data.u64 == kWakeTag) {
-        uint64_t counter = 0;
-        [[maybe_unused]] ssize_t r =
-            ::read(loop.wake_fd, &counter, sizeof(counter));
-        continue;
-      }
-      if (ev.data.u64 == kListenerTag) {
-        if (!draining()) AcceptReady(loop);
-        continue;
-      }
-      // An earlier event in this same batch may have closed the
-      // connection; the map lookup catches the stale pointer.
-      auto it = loop.conns.find(static_cast<Connection*>(ev.data.ptr));
-      if (it == loop.conns.end()) continue;
-      std::shared_ptr<Connection> conn = it->second;
-      if ((ev.events & EPOLLERR) != 0) {
-        CloseConnection(loop, *conn);
-        continue;
-      }
-      if ((ev.events & EPOLLOUT) != 0) FlushConnection(loop, conn);
-      if (conn->registered && (ev.events & (EPOLLIN | EPOLLHUP)) != 0) {
-        ReadConnection(loop, conn);
-      }
-    }
-    if (loop.accepting && draining()) {
-      // Drain: stop accepting, but keep serving existing connections
-      // (their in-flight work still gets answered). A paused listener
-      // is already out of the epoll set.
-      if (!loop.accept_paused) {
-        ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_DEL, listener_.fd(), nullptr);
-      }
-      loop.accept_paused = false;
-      loop.accepting = false;
-    }
-    if (loop.accepting && loop.accept_paused &&
-        loop.accept_backoff.Millis() >= kAcceptBackoffMs) {
-      epoll_event ev{};
-      ev.events = EPOLLIN;
-      ev.data.u64 = kListenerTag;
-      ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_ADD, listener_.fd(), &ev);
-      loop.accept_paused = false;
-    }
-    ProcessMail(loop);
-  }
-  DrainLoopAndClose(loop);
-}
-
-void FannServer::AcceptReady(IoLoop& loop) {
-  while (true) {
-    const int fd = ::accept4(listener_.fd(), nullptr, nullptr,
-                             SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return;  // accepted everything pending
-      }
-      if (errno == ECONNABORTED || errno == EPROTO) {
-        // That one pending connection died before we got to it; the
-        // rest of the backlog is still fine.
-        metrics_.Add(m_accept_errors_, 1);
-        continue;
-      }
-      // EMFILE/ENFILE/ENOBUFS/ENOMEM: the failure does not consume the
-      // pending connection, so the level-triggered listener stays
-      // readable and returning here would re-fire epoll_wait
-      // immediately — a 100% CPU spin for as long as the fd table is
-      // exhausted. Park the listener and re-arm it after a backoff.
-      metrics_.Add(m_accept_errors_, 1);
-      ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_DEL, listener_.fd(), nullptr);
-      loop.accept_paused = true;
-      loop.accept_backoff.Reset();
-      return;
-    }
-    Socket sock(fd);
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    metrics_.Add(m_connections_, 1);
-
-    if (live_connections_.load(std::memory_order_relaxed) >=
-        config_.max_connections) {
-      metrics_.Add(m_overloaded_, 1);
-      ErrorResponse err;
-      err.code = ErrorCode::kOverloaded;
-      err.message = "connection limit reached — retry later";
-      const std::vector<uint8_t> frame =
-          EncodeFrame(static_cast<uint16_t>(Opcode::kError), 0,
-                      EncodeErrorResponse(err));
-      // Best effort on the fresh nonblocking socket: a tiny frame fits
-      // the empty send buffer; if it somehow doesn't, the close below
-      // still sheds the connection.
-      (void)sock.SendSome(frame.data(), frame.size());
-      continue;  // sock dies here
-    }
-
-    live_connections_.fetch_add(1, std::memory_order_relaxed);
-    auto conn = std::make_shared<Connection>();
-    conn->sock = std::move(sock);
-    conn->loop_index = next_loop_.fetch_add(1, std::memory_order_relaxed) %
-                       io_loops_.size();
-    IoLoop& dest = *io_loops_[conn->loop_index];
-    if (&dest == &loop) {
-      RegisterConnection(dest, conn);
-    } else {
-      {
-        std::lock_guard<std::mutex> lock(dest.mail_mu);
-        dest.pending_add.push_back(std::move(conn));
-      }
-      WakeLoop(dest);
-    }
-  }
-}
-
-void FannServer::RegisterConnection(IoLoop& loop,
-                                    const std::shared_ptr<Connection>& conn) {
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.ptr = conn.get();
-  if (::epoll_ctl(loop.epoll_fd, EPOLL_CTL_ADD, conn->sock.fd(), &ev) != 0) {
-    conn->open.store(false, std::memory_order_relaxed);
-    live_connections_.fetch_sub(1, std::memory_order_relaxed);
-    return;  // conn dies with the caller's reference
-  }
-  conn->registered = true;
-  loop.conns.emplace(conn.get(), conn);
-}
-
-void FannServer::ReadConnection(IoLoop& loop,
-                                const std::shared_ptr<Connection>& conn) {
-  if (!conn->registered || conn->read_paused) return;
-  uint8_t buf[64 * 1024];
-  while (true) {
-    const ssize_t n = conn->sock.RecvSome(buf, sizeof(buf));
-    if (n > 0) {
-      conn->in.Append(buf, static_cast<size_t>(n));
-      if (!ParseAndDispatch(loop, conn)) return;  // closed or paused
-      if (static_cast<size_t>(n) < sizeof(buf)) return;  // likely drained
-      continue;
-    }
-    if (n == 0) {  // peer EOF
-      CloseConnection(loop, *conn);
-      return;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-    CloseConnection(loop, *conn);
-    return;
-  }
-}
-
-bool FannServer::ParseAndDispatch(IoLoop& loop,
-                                  const std::shared_ptr<Connection>& conn) {
-  while (conn->registered) {
-    // Write-side backpressure: a connection that has stopped reading
-    // its responses stops being read itself, before its next frame is
-    // even cut — the transmit backlog, not the kernel's buffers, is
-    // the bound.
-    size_t backlog = 0;
-    {
-      std::lock_guard<std::mutex> lock(conn->out_mu);
-      backlog = conn->out.size();
-    }
-    if (backlog > config_.max_outbound_bytes) {
-      conn->read_paused = true;
-      UpdateInterest(loop, *conn);
-      return false;
-    }
-
-    FrameCut cut = CutFrame(conn->in);
-    if (cut.kind == FrameCut::Kind::kNeedMore) return true;
-    if (cut.kind == FrameCut::Kind::kPoisoned) {
-      // Bad magic / oversized payload / nonzero reserved: the stream
-      // has no trustworthy frame boundary left. Close, never crash.
-      metrics_.Add(m_bad_frames_, 1);
-      CloseConnection(loop, *conn);
-      return false;
-    }
-    DispatchFrame(conn, cut);
-  }
-  return false;
-}
-
-void FannServer::DispatchFrame(const std::shared_ptr<Connection>& conn,
-                               FrameCut& cut) {
+void FannServer::OnFrame(const std::shared_ptr<Connection>& conn,
+                         FrameCut& cut) {
+  if (front_end_->RejectEnvelope(conn, cut)) return;
   const FrameHeader& header = cut.header;
-  if (header.version != kProtocolVersion) {
-    metrics_.Add(m_errors_, 1);
-    EnqueueError(conn, header.request_id, ErrorCode::kUnsupportedVersion,
-                 cut.envelope_error);
-    return;
-  }
-  if (!IsRequestOpcode(header.opcode)) {
-    metrics_.Add(m_errors_, 1);
-    EnqueueError(conn, header.request_id, ErrorCode::kUnknownOpcode,
-                 "opcode " + std::to_string(header.opcode) +
-                     " is not a request opcode");
-    return;
-  }
 
   const Opcode opcode = static_cast<Opcode>(header.opcode);
   if (opcode == Opcode::kPing) {
@@ -576,153 +273,6 @@ void FannServer::DispatchFrame(const std::shared_ptr<Connection>& conn,
                  "admission queue full (" +
                      std::to_string(config_.max_queue_depth) +
                      " pending) — retry later");
-  }
-}
-
-void FannServer::EnqueueFrame(const std::shared_ptr<Connection>& conn,
-                              Opcode opcode, uint64_t request_id,
-                              std::span<const uint8_t> payload) {
-  if (!conn->open.load(std::memory_order_relaxed)) return;
-  const std::vector<uint8_t> frame =
-      EncodeFrame(static_cast<uint16_t>(opcode), request_id, payload);
-  {
-    std::lock_guard<std::mutex> lock(conn->out_mu);
-    conn->out.Append(frame.data(), frame.size());
-  }
-  IoLoop& loop = *io_loops_[conn->loop_index];
-  {
-    std::lock_guard<std::mutex> lock(loop.mail_mu);
-    loop.dirty.push_back(conn);
-  }
-  // The loop flushes its dirty list before re-entering epoll_wait, so
-  // when already on the loop thread (inline PING/error replies) no wake
-  // is needed; anyone else must interrupt the wait.
-  if (std::this_thread::get_id() !=
-      loop.thread_id.load(std::memory_order_relaxed)) {
-    WakeLoop(loop);
-  }
-}
-
-void FannServer::EnqueueError(const std::shared_ptr<Connection>& conn,
-                              uint64_t request_id, ErrorCode code,
-                              std::string message) {
-  ErrorResponse response;
-  response.code = code;
-  response.message = std::move(message);
-  EnqueueFrame(conn, Opcode::kError, request_id,
-               EncodeErrorResponse(response));
-}
-
-void FannServer::FlushConnection(IoLoop& loop,
-                                 const std::shared_ptr<Connection>& conn) {
-  if (!conn->registered) return;
-  bool failed = false;
-  size_t remaining = 0;
-  {
-    std::lock_guard<std::mutex> lock(conn->out_mu);
-    while (!conn->out.empty()) {
-      const ssize_t n = conn->sock.SendSome(conn->out.data(),
-                                            conn->out.size());
-      if (n > 0) {
-        conn->out.Consume(static_cast<size_t>(n));
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      failed = true;  // peer closed mid-response or hard error
-      break;
-    }
-    remaining = conn->out.size();
-  }
-  if (failed) {
-    CloseConnection(loop, *conn);
-    return;
-  }
-
-  bool interest_changed = false;
-  const bool want_write = remaining > 0;
-  if (want_write != conn->want_write) {
-    conn->want_write = want_write;
-    interest_changed = true;
-  }
-  const bool resume =
-      conn->read_paused && remaining <= config_.max_outbound_bytes / 2;
-  if (resume) {
-    conn->read_paused = false;
-    interest_changed = true;
-  }
-  if (interest_changed) UpdateInterest(loop, *conn);
-  if (resume) {
-    // Frames already buffered while paused parse now; anything still in
-    // the kernel re-fires the (level-triggered) EPOLLIN we just armed.
-    ParseAndDispatch(loop, conn);
-  }
-}
-
-void FannServer::UpdateInterest(IoLoop& loop, Connection& conn) {
-  if (!conn.registered) return;
-  epoll_event ev{};
-  ev.events = (conn.read_paused ? 0u : static_cast<uint32_t>(EPOLLIN)) |
-              (conn.want_write ? static_cast<uint32_t>(EPOLLOUT) : 0u);
-  ev.data.ptr = &conn;
-  ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_MOD, conn.sock.fd(), &ev);
-}
-
-void FannServer::CloseConnection(IoLoop& loop, Connection& conn) {
-  if (!conn.registered) return;  // idempotent
-  conn.registered = false;
-  conn.open.store(false, std::memory_order_relaxed);
-  ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_DEL, conn.sock.fd(), nullptr);
-  // A peer may be parked in read(2) waiting for a reply that will never
-  // come (e.g. its frame was fatally malformed); shutdown(2) hands it a
-  // clean EOF before the descriptor goes away.
-  conn.sock.ShutdownBoth();
-  conn.sock.Close();
-  live_connections_.fetch_sub(1, std::memory_order_relaxed);
-  loop.conns.erase(&conn);  // may free conn — must be the last touch
-}
-
-void FannServer::ProcessMail(IoLoop& loop) {
-  std::vector<std::shared_ptr<Connection>> add;
-  std::vector<std::shared_ptr<Connection>> dirty;
-  {
-    std::lock_guard<std::mutex> lock(loop.mail_mu);
-    add.swap(loop.pending_add);
-    dirty.swap(loop.dirty);
-  }
-  for (const std::shared_ptr<Connection>& conn : add) {
-    RegisterConnection(loop, conn);
-  }
-  for (const std::shared_ptr<Connection>& conn : dirty) {
-    FlushConnection(loop, conn);
-  }
-}
-
-void FannServer::DrainLoopAndClose(IoLoop& loop) {
-  // The executor is already gone, so the transmit queues hold the final
-  // bytes of every drained/aborted response. Flush them (bounded — only
-  // a peer that stopped reading can hold us up), then close everything.
-  Timer cap;
-  while (cap.Millis() < kDrainFlushCapMs) {
-    ProcessMail(loop);
-    std::vector<std::shared_ptr<Connection>> conns;
-    conns.reserve(loop.conns.size());
-    for (const auto& [ptr, sp] : loop.conns) conns.push_back(sp);
-    bool pending = false;
-    for (const std::shared_ptr<Connection>& conn : conns) {
-      FlushConnection(loop, conn);
-      if (!conn->registered) continue;
-      std::lock_guard<std::mutex> lock(conn->out_mu);
-      if (!conn->out.empty()) pending = true;
-    }
-    if (!pending) break;
-    epoll_event ev;
-    ::epoll_wait(loop.epoll_fd, &ev, 1, 10);
-  }
-  std::vector<std::shared_ptr<Connection>> conns;
-  conns.reserve(loop.conns.size());
-  for (const auto& [ptr, sp] : loop.conns) conns.push_back(sp);
-  for (const std::shared_ptr<Connection>& conn : conns) {
-    CloseConnection(loop, *conn);
   }
 }
 
@@ -1253,8 +803,7 @@ bool FannServer::PushFits(const std::shared_ptr<Connection>& conn) {
   if (!conn->open.load(std::memory_order_relaxed)) return false;
   // Same bound the read path enforces: a subscriber that stopped
   // reading gets its pushes conflated instead of an unbounded queue.
-  std::lock_guard<std::mutex> lock(conn->out_mu);
-  return conn->out.size() <= config_.max_outbound_bytes;
+  return FrontEnd::Backlog(*conn) <= config_.max_outbound_bytes;
 }
 
 void FannServer::ExecuteStats(WorkItem& item) {
@@ -1312,7 +861,7 @@ DrainStats FannServer::Wait() {
   // Drain order: finish (or abort) queued work first — every response
   // lands in a transmit queue — then tell the loops to flush those
   // queues and close. The loops keep serving reads during the drain;
-  // new work frames are refused with SHUTTING_DOWN (DispatchFrame), so
+  // new work frames are refused with SHUTTING_DOWN (OnFrame), so
   // the admission queue only shrinks.
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
@@ -1322,12 +871,7 @@ DrainStats FannServer::Wait() {
   executor_thread_.join();
   const double drain_ms = drain_timer_.Millis();
 
-  io_stop_.store(true, std::memory_order_release);
-  for (const std::unique_ptr<IoLoop>& loop : io_loops_) WakeLoop(*loop);
-  for (const std::unique_ptr<IoLoop>& loop : io_loops_) {
-    loop->thread.join();
-  }
-  listener_.Close();
+  front_end_->Stop();
   started_.store(false, std::memory_order_relaxed);
 
   DrainStats stats;

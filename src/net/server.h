@@ -6,23 +6,13 @@
 // length-prefixed binary protocol of net/protocol.h and is structured as
 // two thread roles:
 //
-//   * a small fixed pool of epoll event-loop threads (num_io_threads,
-//     default 1) owning every socket in nonblocking mode. Each
-//     connection accumulates bytes in a receive queue and has frames
-//     cut off it incrementally (net/iobuf.h), so a client may
-//     **pipeline**: many request frames in flight on one connection,
-//     responses tagged by request_id and allowed to complete out of
+//   * the epoll event loops of net/front_end.h (num_io_threads,
+//     default 1), which own every socket and cut pipelined frames:
+//     responses are tagged by request_id and may complete out of
 //     order (a PING answered inline can overtake a queued QUERY's
 //     response; work responses themselves stay FIFO per connection
-//     because one executor drains the queue in order). Responses are
-//     appended to a per-connection transmit queue and flushed as the
-//     kernel accepts them (EPOLLOUT only while bytes remain). A
-//     connection whose transmit backlog exceeds max_outbound_bytes
-//     stops being read — write-side backpressure — until the backlog
-//     drains below half the bound, so a client that never reads
-//     responses cannot buffer the server to death. Loop 0 also owns
-//     the listener and sheds connections over max_connections with
-//     OVERLOADED;
+//     because one executor drains the queue in order). Backpressure
+//     and connection shedding are the front end's;
 //   * one executor thread, which drains the admission queue FIFO and
 //     is the only thread that touches the BatchQueryEngine or applies
 //     weight updates. This serialization is load-bearing: the Graph
@@ -72,7 +62,7 @@
 
 #include "common/timer.h"
 #include "engine/batch_engine.h"
-#include "net/iobuf.h"
+#include "net/front_end.h"
 #include "net/protocol.h"
 #include "net/socket.h"
 #include "obs/metrics.h"
@@ -160,7 +150,7 @@ struct DrainStats {
 /// is requested and the drain completes). `graph` is mutated by
 /// UPDATE_WEIGHTS frames and must outlive the server, as must every
 /// index inside `resources` (resources.graph must equal `graph`).
-class FannServer {
+class FannServer : private FrameHandler {
  public:
   FannServer(Graph* graph, const GphiResources& resources,
              ServerConfig config);
@@ -174,7 +164,7 @@ class FannServer {
   bool Start(std::string* error);
 
   /// The bound port (valid after a successful Start).
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return front_end_->port(); }
 
   /// Initiates graceful drain. Async-signal-safe (eventfd writes plus a
   /// relaxed atomic store) — call it straight from a SIGTERM handler.
@@ -210,39 +200,19 @@ class FannServer {
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
  private:
-  struct Connection;
-  struct IoLoop;
   struct WorkItem;
 
-  // --- Event-loop side (each method runs on the loop's own thread
-  // unless noted) ---
-  void IoLoopMain(size_t index);
-  void AcceptReady(IoLoop& loop);
-  void RegisterConnection(IoLoop& loop,
-                          const std::shared_ptr<Connection>& conn);
-  void ReadConnection(IoLoop& loop, const std::shared_ptr<Connection>& conn);
-  /// Cuts and dispatches every complete frame buffered on `conn`.
-  /// Returns false when reading must stop (connection closed or
-  /// backpressure paused it).
-  bool ParseAndDispatch(IoLoop& loop, const std::shared_ptr<Connection>& conn);
-  void DispatchFrame(const std::shared_ptr<Connection>& conn, FrameCut& cut);
-  /// Appends an encoded frame to the connection's transmit queue and
-  /// notifies its loop. Callable from any thread (the executor responds
-  /// through this).
+  // --- Event-loop side (FrameHandler; runs on the loop threads) ---
+  void OnFrame(const std::shared_ptr<Connection>& conn,
+               FrameCut& cut) override;
   void EnqueueFrame(const std::shared_ptr<Connection>& conn, Opcode opcode,
-                    uint64_t request_id, std::span<const uint8_t> payload);
+                    uint64_t request_id, std::span<const uint8_t> payload) {
+    front_end_->Enqueue(conn, opcode, request_id, payload);
+  }
   void EnqueueError(const std::shared_ptr<Connection>& conn,
-                    uint64_t request_id, ErrorCode code, std::string message);
-  void FlushConnection(IoLoop& loop, const std::shared_ptr<Connection>& conn);
-  void UpdateInterest(IoLoop& loop, Connection& conn);
-  void CloseConnection(IoLoop& loop, Connection& conn);
-  /// Adopts mailed-in connections and flushes ones marked dirty by
-  /// writers on other threads.
-  void ProcessMail(IoLoop& loop);
-  /// End of a loop's life: flush remaining transmit queues (bounded),
-  /// then close every connection.
-  void DrainLoopAndClose(IoLoop& loop);
-  static void WakeLoop(IoLoop& loop);
+                    uint64_t request_id, ErrorCode code, std::string message) {
+    front_end_->EnqueueError(conn, request_id, code, std::move(message));
+  }
 
   // --- Executor side ---
   void ExecutorMain();
@@ -302,8 +272,6 @@ class FannServer {
   /// Live standing queries. Executor-thread-only, like the engine.
   std::unique_ptr<cont::SubscriptionTable> subs_;
 
-  Socket listener_;
-  uint16_t port_ = 0;
   /// Blocking eventfd RequestShutdown writes and Wait() reads: a wake
   /// can never be silently dropped the way a full pipe drops writes
   /// (the counter stays readable until consumed), and writing it stays
@@ -311,15 +279,6 @@ class FannServer {
   int drain_wake_fd_ = -1;
   std::atomic<bool> draining_{false};
   std::atomic<bool> started_{false};
-  /// Tells the event loops to flush and exit (set by Wait after the
-  /// executor has drained, so every response is already enqueued).
-  std::atomic<bool> io_stop_{false};
-
-  /// Fixed at Start(); the vector itself is immutable afterwards, which
-  /// is what lets RequestShutdown walk it from a signal handler.
-  std::vector<std::unique_ptr<IoLoop>> io_loops_;
-  std::atomic<size_t> live_connections_{0};
-  std::atomic<size_t> next_loop_{0};  ///< Round-robin placement.
 
   std::thread executor_thread_;
 
@@ -338,12 +297,15 @@ class FannServer {
   obs::MetricsRegistry metrics_{1};
   obs::CounterId m_req_query_, m_req_batch_, m_req_update_, m_req_stats_,
       m_req_ping_, m_req_shutdown_, m_req_repl_, m_errors_, m_overloaded_,
-      m_bad_frames_, m_connections_, m_stale_admission_, m_accept_errors_,
-      m_req_subscribe_, m_req_unsubscribe_, m_pushes_sent_,
-      m_pushes_suppressed_, m_pushes_dropped_;
+      m_stale_admission_, m_req_subscribe_, m_req_unsubscribe_,
+      m_pushes_sent_, m_pushes_suppressed_, m_pushes_dropped_;
   obs::GaugeId m_queue_depth_, m_subs_active_;
   obs::HistogramId m_e2e_query_ms_, m_e2e_batch_ms_, m_e2e_update_ms_,
       m_queue_wait_ms_, m_push_latency_ms_;
+
+  /// Declared last: destroyed first, while everything its loops call
+  /// back into is still alive.
+  std::unique_ptr<FrontEnd> front_end_;
 };
 
 }  // namespace fannr::net

@@ -185,24 +185,6 @@ Socket TcpListen(const std::string& host, uint16_t port,
   return sock;
 }
 
-Socket TcpAccept(const Socket& listener, std::string* error) {
-  while (true) {
-    const int fd = ::accept(listener.fd(), nullptr, nullptr);
-    if (fd >= 0) {
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      return Socket(fd);
-    }
-    if (errno == EINTR) continue;
-    if (error != nullptr) {
-      // A closed/shutdown listener surfaces as EBADF/EINVAL — the normal
-      // drain path, reported as an empty error.
-      *error = (errno == EBADF || errno == EINVAL) ? "" : Errno("accept");
-    }
-    return Socket();
-  }
-}
-
 Socket TcpConnect(const std::string& host, uint16_t port,
                   std::string* error) {
   Socket sock(::socket(AF_INET, SOCK_STREAM, 0));

@@ -74,11 +74,6 @@ class Socket {
 Socket TcpListen(const std::string& host, uint16_t port,
                  uint16_t* bound_port, std::string* error);
 
-/// Accepts one connection. Returns an invalid socket on error (check
-/// errno semantics in `error`; an invalid socket with empty error means
-/// the listener was shut down).
-Socket TcpAccept(const Socket& listener, std::string* error);
-
 /// Connects to `host:port`. Invalid socket + `error` on failure.
 Socket TcpConnect(const std::string& host, uint16_t port, std::string* error);
 

@@ -11,12 +11,21 @@
 #include "net/router.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dynamic/update.h"
@@ -218,6 +227,7 @@ struct ShardNode {
     config.port = port;
     config.engine_options.num_threads = threads;
     config.wal = wal;
+    config.test_execution_gate = gate;
     server = std::make_unique<FannServer>(&graph, resources, std::move(config));
     return server->Start(error);
   }
@@ -231,6 +241,7 @@ struct ShardNode {
   Graph graph;
   GphiResources resources;
   std::unique_ptr<FannServer> server;
+  std::function<void()> gate;  ///< Optional executor gate (see ServerConfig).
 };
 
 /// Exact-solver jobs over P sets that straddle both shards, plus the
@@ -680,6 +691,485 @@ TEST(FannRouter, WireShutdownTerminatesWait) {
   router.Wait();
   shard0.Stop();
   shard1.Stop();
+}
+
+
+// --- pipelined bursts and shard failures -----------------------------------
+
+/// Reads one whole frame off a raw socket (blocking).
+bool ReadFrame(const Socket& sock, FrameHeader& header,
+               std::vector<uint8_t>& payload) {
+  uint8_t header_bytes[kFrameHeaderBytes];
+  if (!sock.ReadFull(header_bytes, sizeof(header_bytes))) return false;
+  DecodeFrameHeader(header_bytes, header);
+  payload.resize(header.payload_length);
+  return header.payload_length == 0 ||
+         sock.ReadFull(payload.data(), payload.size());
+}
+
+void AppendFrame(std::vector<uint8_t>& out, Opcode opcode, uint64_t id,
+                 std::span<const uint8_t> payload) {
+  const std::vector<uint8_t> frame =
+      EncodeFrame(static_cast<uint16_t>(opcode), id, payload);
+  out.insert(out.end(), frame.begin(), frame.end());
+}
+
+/// Bitwise answer equality as ExpectAnswerEqual defines it.
+bool SameAnswer(const WireResult& a, const WireResult& b) {
+  return a.status == b.status && a.best == b.best &&
+         DistanceBits(a.distance) == DistanceBits(b.distance) &&
+         a.subset == b.subset && a.error == b.error;
+}
+
+uint64_t StatsCounter(FannClient& client, const std::string& name) {
+  std::string json;
+  EXPECT_TRUE(client.Stats(json)) << client.last_error();
+  const std::string key = "\"" + name + "\": ";
+  const size_t at = json.find(key);
+  if (at == std::string::npos) {
+    ADD_FAILURE() << name << " missing from " << json;
+    return 0;
+  }
+  return std::strtoull(json.c_str() + at + key.size(), nullptr, 10);
+}
+
+/// A GD/sum job whose P takes eight vertices from each of two shards.
+WireQuery SpanningJob(const ShardPlan& plan, const Graph& graph,
+                      uint64_t seed) {
+  WireQuery job;
+  job.algorithm = static_cast<uint8_t>(FannAlgorithm::kGd);
+  job.aggregate = static_cast<uint8_t>(Aggregate::kSum);
+  job.phi = 0.5;
+  for (uint32_t v = static_cast<uint32_t>(seed), taken0 = 0, taken1 = 0;
+       v < plan.num_vertices() && (taken0 < 8 || taken1 < 8); ++v) {
+    uint32_t& taken = plan.OwnerOf(v) == 0 ? taken0 : taken1;
+    if (taken < 8) {
+      job.p.push_back(v);
+      ++taken;
+    }
+  }
+  Rng rng(seed);
+  const std::vector<VertexId> q = testing::SampleVertices(graph, 6, rng);
+  job.q = std::vector<uint32_t>(q.begin(), q.end());
+  return job;
+}
+
+TEST(FannRouter, PipelinedBurstsMatchSingleNodeAcrossAnUpdate) {
+  // One connection writes 69 frames before reading any — QUERY and BATCH
+  // frames (the screening shapes included), PINGs, and one UPDATE_WEIGHTS
+  // in the middle — while a second connection pipelines queries beside
+  // it. The router cuts them into bursts and sends one sub-batch per
+  // shard per burst; every answer must still be bitwise the single
+  // node's, at the epoch the per-connection order implies.
+  ShardNode shard0(kGraphSeed, kGraphVertices);
+  ShardNode shard1(kGraphSeed, kGraphVertices);
+  ShardNode single(kGraphSeed, kGraphVertices);
+  const ShardPlan plan = ShardPlan::Build(shard0.graph, 2);
+  const std::vector<WireQuery> jobs = BuildShardedJobs(single.graph);
+
+  std::string error;
+  ASSERT_TRUE(shard0.Start(2, 0, nullptr, &error)) << error;
+  ASSERT_TRUE(shard1.Start(2, 0, nullptr, &error)) << error;
+  ASSERT_TRUE(single.Start(2, 0, nullptr, &error)) << error;
+  RouterConfig router_config;
+  router_config.shards = {{"127.0.0.1", shard0.server->port()},
+                          {"127.0.0.1", shard1.server->port()}};
+  FannRouter router(plan, router_config);
+  ASSERT_TRUE(router.Start(&error)) << error;
+
+  // References from the single node at epochs 0 and 1. The expiring
+  // batch's 1 ns batch-level deadline times every runnable job out in
+  // the admission queue; the router must carry it into each job.
+  BatchRequest all;
+  all.jobs = jobs;
+  BatchRequest expiring = all;
+  expiring.deadline_ms = 1e-6;
+  FannClient via_single;
+  ASSERT_TRUE(via_single.Connect("127.0.0.1", single.server->port()))
+      << via_single.last_error();
+  std::vector<WireResult> ref[2];
+  std::vector<WireResult> ref_expiring[2];
+  Rng wave_rng(4711);
+  const dynamic::UpdateBatch wave =
+      dynamic::MakeCongestionWave(single.graph, 0.05, 0.5, 3.0, wave_rng);
+  ASSERT_FALSE(wave.empty());
+  UpdateWeightsRequest update;
+  for (const EdgeWeightUpdate& u : wave.updates()) {
+    update.entries.push_back({u.u, u.v, u.new_weight});
+  }
+  for (int epoch = 0; epoch < 2; ++epoch) {
+    if (epoch == 1) {
+      UpdateWeightsResponse applied;
+      ASSERT_TRUE(via_single.UpdateWeights(update, applied))
+          << via_single.last_error();
+      ASSERT_EQ(applied.new_epoch, 1u);
+    }
+    BatchResponse response;
+    ASSERT_TRUE(via_single.Batch(all, response)) << via_single.last_error();
+    ref[epoch] = response.results;
+    BatchResponse expired;
+    ASSERT_TRUE(via_single.Batch(expiring, expired))
+        << via_single.last_error();
+    ref_expiring[epoch] = expired.results;
+    ASSERT_EQ(ref_expiring[epoch][0].status,
+              static_cast<uint8_t>(QueryStatus::kTimedOut));
+  }
+
+  enum class Kind { kQuery, kBatch, kExpiring, kPing, kUpdate };
+  struct Sent {
+    Kind kind;
+    size_t job;
+    uint64_t epoch;
+  };
+  std::vector<uint8_t> bytes;
+  std::map<uint64_t, Sent> sent;
+  size_t query_frames = 0;
+  uint64_t next_id = 100;
+  for (uint64_t half = 0; half < 2; ++half) {
+    for (int round = 0; round < 3; ++round) {
+      for (size_t j = 0; j < jobs.size(); ++j) {
+        QueryRequest request;
+        request.query = jobs[j];
+        sent[next_id] = {Kind::kQuery, j, half};
+        AppendFrame(bytes, Opcode::kQuery, next_id++,
+                    EncodeQueryRequest(request));
+        ++query_frames;
+      }
+      sent[next_id] = {Kind::kBatch, 0, half};
+      AppendFrame(bytes, Opcode::kBatch, next_id++, EncodeBatchRequest(all));
+      sent[next_id] = {Kind::kPing, 0, half};
+      AppendFrame(bytes, Opcode::kPing, next_id++, {});
+    }
+    sent[next_id] = {Kind::kExpiring, 0, half};
+    AppendFrame(bytes, Opcode::kBatch, next_id++,
+                EncodeBatchRequest(expiring));
+    if (half == 0) {
+      sent[next_id] = {Kind::kUpdate, 0, 1};
+      AppendFrame(bytes, Opcode::kUpdateWeights, next_id++,
+                  EncodeUpdateWeightsRequest(update));
+    }
+  }
+  ASSERT_GE(sent.size(), 64u);
+
+  // The second connection: pipelined queries racing the update. Its
+  // answers come from either epoch, or carry the stale-admission
+  // rejection a single server gives work admitted across an update.
+  constexpr int kSideRounds = 3;
+  std::map<uint64_t, size_t> side_sent;
+  std::map<uint64_t, QueryResponse> side_answers;
+  std::string side_error;
+  std::thread side([&] {
+    FannClient client;
+    if (!client.Connect("127.0.0.1", router.port())) {
+      side_error = client.last_error();
+      return;
+    }
+    for (int round = 0; round < kSideRounds; ++round) {
+      for (size_t j = 0; j < jobs.size(); ++j) {
+        uint64_t id = 0;
+        if (!client.SendQuery(jobs[j], &id)) {
+          side_error = client.last_error();
+          return;
+        }
+        side_sent[id] = j;
+      }
+    }
+    for (size_t i = 0; i < side_sent.size(); ++i) {
+      FrameHeader header;
+      std::vector<uint8_t> payload;
+      QueryResponse response;
+      if (!client.ReadAny(header, payload) ||
+          header.opcode != static_cast<uint16_t>(Opcode::kQueryResult) ||
+          !DecodeQueryResponse(payload, response)) {
+        side_error = "bad side response: " + client.last_error();
+        return;
+      }
+      side_answers[header.request_id] = response;
+    }
+  });
+
+  std::string connect_error;
+  Socket sock = TcpConnect("127.0.0.1", router.port(), &connect_error);
+  ASSERT_TRUE(sock.valid()) << connect_error;
+  ASSERT_TRUE(sock.WriteFull(bytes.data(), bytes.size()));
+  std::map<uint64_t, bool> answered;
+  for (size_t i = 0; i < sent.size(); ++i) {
+    FrameHeader header;
+    std::vector<uint8_t> payload;
+    ASSERT_TRUE(ReadFrame(sock, header, payload)) << "response " << i;
+    auto it = sent.find(header.request_id);
+    ASSERT_NE(it, sent.end()) << "unknown id " << header.request_id;
+    ASSERT_TRUE(answered.emplace(header.request_id, true).second)
+        << "id " << header.request_id << " answered twice";
+    const Sent& s = it->second;
+    const std::string label = "id " + std::to_string(header.request_id);
+    switch (s.kind) {
+      case Kind::kPing:
+        EXPECT_EQ(header.opcode, static_cast<uint16_t>(Opcode::kPong));
+        break;
+      case Kind::kUpdate: {
+        ASSERT_EQ(header.opcode, static_cast<uint16_t>(Opcode::kUpdateResult));
+        UpdateWeightsResponse response;
+        ASSERT_TRUE(DecodeUpdateWeightsResponse(payload, response));
+        EXPECT_EQ(response.status, 0);
+        EXPECT_EQ(response.new_epoch, 1u);
+        break;
+      }
+      case Kind::kQuery: {
+        ASSERT_EQ(header.opcode, static_cast<uint16_t>(Opcode::kQueryResult))
+            << label;
+        QueryResponse response;
+        ASSERT_TRUE(DecodeQueryResponse(payload, response));
+        EXPECT_EQ(response.graph_epoch, s.epoch) << label;
+        ExpectAnswerEqual(response.result, ref[s.epoch][s.job], label);
+        break;
+      }
+      case Kind::kBatch:
+      case Kind::kExpiring: {
+        ASSERT_EQ(header.opcode, static_cast<uint16_t>(Opcode::kBatchResult))
+            << label;
+        BatchResponse response;
+        ASSERT_TRUE(DecodeBatchResponse(payload, response));
+        EXPECT_EQ(response.graph_epoch, s.epoch) << label;
+        const std::vector<WireResult>& expected =
+            s.kind == Kind::kBatch ? ref[s.epoch] : ref_expiring[s.epoch];
+        ASSERT_EQ(response.results.size(), expected.size()) << label;
+        for (size_t j = 0; j < expected.size(); ++j) {
+          ExpectAnswerEqual(response.results[j], expected[j],
+                            label + " job " + std::to_string(j));
+        }
+        break;
+      }
+    }
+  }
+  side.join();
+  ASSERT_TRUE(side_error.empty()) << side_error;
+  ASSERT_EQ(side_answers.size(), side_sent.size());
+  for (const auto& [id, job] : side_sent) {
+    const QueryResponse& response = side_answers[id];
+    ASSERT_LE(response.graph_epoch, 1u);
+    const bool stale =
+        response.result.status ==
+            static_cast<uint8_t>(QueryStatus::kRejected) &&
+        response.result.error == MidBatchEpochError(0, 1);
+    EXPECT_TRUE(stale ||
+                SameAnswer(response.result, ref[response.graph_epoch][job]))
+        << "side id " << id << " job " << job;
+  }
+
+  // Coalescing: fewer sub-batches than one per shard per QUERY frame.
+  FannClient stats_client;
+  ASSERT_TRUE(stats_client.Connect("127.0.0.1", router.port()))
+      << stats_client.last_error();
+  const uint64_t sub_batches =
+      StatsCounter(stats_client, "router.fanout.sub_batches");
+  const size_t all_queries = query_frames + side_sent.size();
+  EXPECT_GT(sub_batches, 0u);
+  EXPECT_LT(sub_batches, 2 * all_queries);
+  EXPECT_GT(StatsCounter(stats_client, "router.fanout.jobs"), sub_batches);
+
+  router.RequestShutdown();
+  router.Wait();
+  shard0.Stop();
+  shard1.Stop();
+  single.Stop();
+}
+
+/// A shard stand-in: answers the router's position probes, receives
+/// BATCH frames without ever answering them, and can crash — every
+/// socket it holds closes at once.
+class StallingShard {
+ public:
+  ~StallingShard() { Crash(); }
+
+  bool Start(std::string* error) {
+    listener_ = TcpListen("127.0.0.1", 0, &port_, error);
+    if (!listener_.valid()) return false;
+    accept_thread_ = std::thread([this] {
+      while (true) {
+        const int fd = ::accept(listener_.fd(), nullptr, nullptr);
+        if (fd < 0) return;  // the listener was shut down
+        std::lock_guard<std::mutex> lock(mu_);
+        conns_.push_back(std::make_unique<Socket>(fd));
+        Socket* sock = conns_.back().get();
+        serve_threads_.emplace_back([this, sock] { Serve(*sock); });
+      }
+    });
+    return true;
+  }
+
+  uint16_t port() const { return port_; }
+  size_t batches() const { return batches_.load(); }
+
+  void Crash() {
+    if (!accept_thread_.joinable()) return;
+    listener_.ShutdownBoth();
+    accept_thread_.join();
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const std::unique_ptr<Socket>& sock : conns_) sock->ShutdownBoth();
+    for (std::thread& t : serve_threads_) t.join();
+    conns_.clear();
+    listener_.Close();
+  }
+
+ private:
+  void Serve(const Socket& sock) {
+    FrameHeader header;
+    std::vector<uint8_t> payload;
+    while (ReadFrame(sock, header, payload)) {
+      if (header.opcode == static_cast<uint16_t>(Opcode::kBatch)) {
+        batches_.fetch_add(1);
+      } else if (header.opcode == static_cast<uint16_t>(Opcode::kReplApply)) {
+        UpdateWeightsResponse at_position;  // status 0 at epoch 0
+        const std::vector<uint8_t> frame = EncodeFrame(
+            static_cast<uint16_t>(Opcode::kReplApplyResult), header.request_id,
+            EncodeUpdateWeightsResponse(at_position));
+        if (!sock.WriteFull(frame.data(), frame.size())) return;
+      }
+    }
+  }
+
+  Socket listener_;
+  uint16_t port_ = 0;
+  std::atomic<size_t> batches_{0};
+  std::mutex mu_;
+  std::vector<std::unique_ptr<Socket>> conns_;
+  std::vector<std::thread> serve_threads_;
+  std::thread accept_thread_;
+};
+
+/// Blocks the executor of the shard it gates while held.
+struct ExecutorGate {
+  void Enter() {
+    std::unique_lock<std::mutex> lock(mu);
+    ++entered;
+    cv.notify_all();
+    cv.wait(lock, [&] { return !held; });
+  }
+  void Set(bool hold) {
+    std::lock_guard<std::mutex> lock(mu);
+    held = hold;
+    cv.notify_all();
+  }
+  size_t Entered() {
+    std::lock_guard<std::mutex> lock(mu);
+    return entered;
+  }
+  bool AwaitEntered(size_t count) {
+    std::unique_lock<std::mutex> lock(mu);
+    return cv.wait_for(lock, std::chrono::seconds(10),
+                       [&] { return entered >= count; });
+  }
+  std::mutex mu;
+  std::condition_variable cv;
+  bool held = false;
+  size_t entered = 0;
+};
+
+TEST(FannRouter, ShardFailureMidBurstFailsEveryPendingRequestOnce) {
+  ShardNode shard0(kGraphSeed, kGraphVertices);
+  ShardNode single(kGraphSeed, kGraphVertices);
+  const ShardPlan plan = ShardPlan::Build(shard0.graph, 2);
+  std::string error;
+  ASSERT_TRUE(shard0.Start(1, 0, nullptr, &error)) << error;
+  ASSERT_TRUE(single.Start(1, 0, nullptr, &error)) << error;
+  StallingShard stalled;
+  ASSERT_TRUE(stalled.Start(&error)) << error;
+
+  RouterConfig router_config;
+  router_config.shards = {{"127.0.0.1", shard0.server->port()},
+                          {"127.0.0.1", stalled.port()}};
+  FannRouter router(plan, router_config);
+  ASSERT_TRUE(router.Start(&error)) << error;
+
+  // A pipelined window of spanning requests; shard 1 sits on them.
+  std::string connect_error;
+  Socket sock = TcpConnect("127.0.0.1", router.port(), &connect_error);
+  ASSERT_TRUE(sock.valid()) << connect_error;
+  std::vector<uint8_t> bytes;
+  BatchRequest batch;
+  for (uint64_t id = 1; id <= 12; ++id) {
+    QueryRequest request;
+    request.query = SpanningJob(plan, shard0.graph, id);
+    batch.jobs.push_back(request.query);
+    AppendFrame(bytes, Opcode::kQuery, id, EncodeQueryRequest(request));
+  }
+  AppendFrame(bytes, Opcode::kBatch, 13, EncodeBatchRequest(batch));
+  ASSERT_TRUE(sock.WriteFull(bytes.data(), bytes.size()));
+  for (int i = 0; i < 1000 && stalled.batches() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_GT(stalled.batches(), 0u);
+
+  // The shard dies with the burst outstanding: each request gets
+  // exactly one INTERNAL "shard 1 unreachable" frame, none hangs.
+  stalled.Crash();
+  std::map<uint64_t, int> errors;
+  for (int i = 0; i < 13; ++i) {
+    FrameHeader header;
+    std::vector<uint8_t> payload;
+    ASSERT_TRUE(ReadFrame(sock, header, payload)) << "response " << i;
+    ASSERT_EQ(header.opcode, static_cast<uint16_t>(Opcode::kError));
+    ErrorResponse err;
+    ASSERT_TRUE(DecodeErrorResponse(payload, err));
+    EXPECT_EQ(err.code, ErrorCode::kInternal);
+    EXPECT_EQ(err.message.rfind("shard 1 unreachable: ", 0), 0u)
+        << err.message;
+    ++errors[header.request_id];
+  }
+  EXPECT_EQ(errors.size(), 13u);
+  // Nothing else is owed: a PING is answered next.
+  std::vector<uint8_t> ping;
+  AppendFrame(ping, Opcode::kPing, 99, {});
+  ASSERT_TRUE(sock.WriteFull(ping.data(), ping.size()));
+  FrameHeader header;
+  std::vector<uint8_t> payload;
+  ASSERT_TRUE(ReadFrame(sock, header, payload));
+  EXPECT_EQ(header.opcode, static_cast<uint16_t>(Opcode::kPong));
+  EXPECT_EQ(header.request_id, 99u);
+
+  // The shard comes back on its address: the router dials it again.
+  ExecutorGate gate;
+  ShardNode restarted(kGraphSeed, kGraphVertices);
+  restarted.gate = [&gate] { gate.Enter(); };
+  ASSERT_TRUE(restarted.Start(1, stalled.port(), nullptr, &error)) << error;
+  const WireQuery job = SpanningJob(plan, shard0.graph, 3);
+  FannClient client;
+  FannClient via_single;
+  ASSERT_TRUE(client.Connect("127.0.0.1", router.port()))
+      << client.last_error();
+  ASSERT_TRUE(via_single.Connect("127.0.0.1", single.server->port()))
+      << via_single.last_error();
+  QueryResponse reference;
+  ASSERT_TRUE(via_single.Query(job, reference)) << via_single.last_error();
+  QueryResponse routed;
+  ASSERT_TRUE(client.Query(job, routed)) << client.last_error();
+  ExpectAnswerEqual(routed.result, reference.result, "after restart");
+
+  // A client that leaves with fan-outs outstanding: the late shard
+  // replies are merged and dropped, and the router serves on.
+  gate.Set(true);
+  const size_t entered_before = gate.Entered();
+  {
+    FannClient leaving;
+    ASSERT_TRUE(leaving.Connect("127.0.0.1", router.port()))
+        << leaving.last_error();
+    for (int i = 0; i < 4; ++i) {
+      uint64_t id = 0;
+      ASSERT_TRUE(leaving.SendQuery(job, &id)) << leaving.last_error();
+    }
+    ASSERT_TRUE(gate.AwaitEntered(entered_before + 1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  gate.Set(false);
+  ASSERT_TRUE(client.Query(job, routed)) << client.last_error();
+  ExpectAnswerEqual(routed.result, reference.result, "after a client left");
+
+  router.RequestShutdown();
+  router.Wait();
+  shard0.Stop();
+  restarted.Stop();
+  single.Stop();
 }
 
 }  // namespace
