@@ -6,10 +6,12 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 
 #include "common/rng.h"
 #include "fann/fannr.h"
+#include "graph/builder.h"
 #include "sp/astar.h"
 #include "sp/bidirectional.h"
 #include "sp/ch/contraction_hierarchy.h"
@@ -68,6 +70,82 @@ void BM_DijkstraP2P(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DijkstraP2P);
+
+// Graphs for the full-row SSSP kernels, by benchmark argument. 0: TEST
+// and 1: DE (road-like, weight ratio < 10, bucket queue); 2: a 100x100
+// grid with log-uniform weights in [1, 1e12] (ratio beyond |V|, so
+// SsspInto runs the heap); 3: the bucket queue's known worst case, a
+// 20,000-vertex path with log-uniform weights in [1, 1000] (ring of
+// 1,024 slots, one vertex per bucket).
+const Graph& SsspGraph(int64_t which) {
+  static const Graph* graphs[4] = {};
+  if (graphs[which] != nullptr) return *graphs[which];
+  Rng rng(20261018);
+  const auto log_uniform = [&rng](double max_exponent) {
+    return std::pow(10.0, rng.NextDouble(0.0, max_exponent));
+  };
+  Graph* graph = nullptr;
+  if (which == 0) {
+    graph = new Graph(BuildPreset("TEST"));
+  } else if (which == 1) {
+    graph = new Graph(BuildPreset("DE"));
+  } else if (which == 2) {
+    constexpr VertexId kSide = 100;
+    GraphBuilder builder(kSide * kSide);
+    for (VertexId r = 0; r < kSide; ++r) {
+      for (VertexId c = 0; c < kSide; ++c) {
+        const VertexId v = r * kSide + c;
+        if (c + 1 < kSide) builder.AddEdge(v, v + 1, log_uniform(12.0));
+        if (r + 1 < kSide) builder.AddEdge(v, v + kSide, log_uniform(12.0));
+      }
+    }
+    graph = new Graph(builder.Build());
+  } else {
+    constexpr VertexId kLength = 20000;
+    GraphBuilder builder(kLength);
+    for (VertexId v = 0; v + 1 < kLength; ++v) {
+      builder.AddEdge(v, v + 1, log_uniform(3.0));
+    }
+    graph = new Graph(builder.Build());
+  }
+  graphs[which] = graph;
+  return *graph;
+}
+
+const char* SsspGraphName(int64_t which) {
+  static const char* const kNames[] = {"TEST", "DE", "grid-1e12",
+                                       "path-1e3"};
+  return kNames[which];
+}
+
+// Full rows on DijkstraSearch::SsspInto (bucket queue, or the heap when
+// the weight ratio rules the ring out), one reused search object.
+void BM_SsspInto(benchmark::State& state) {
+  const Graph& graph = SsspGraph(state.range(0));
+  DijkstraSearch search(graph);
+  std::vector<Weight> row;
+  Rng rng(31);
+  for (auto _ : state) {
+    search.SsspInto(static_cast<VertexId>(rng.NextIndex(graph.NumVertices())),
+                    row);
+    benchmark::DoNotOptimize(row.data());
+  }
+  state.SetLabel(SsspGraphName(state.range(0)));
+}
+BENCHMARK(BM_SsspInto)->DenseRange(0, 3)->Unit(benchmark::kMillisecond);
+
+// The heap-based reference kernel on the same graphs and sources.
+void BM_DijkstraSssp(benchmark::State& state) {
+  const Graph& graph = SsspGraph(state.range(0));
+  Rng rng(31);
+  for (auto _ : state) {
+    auto row = DijkstraSssp(
+        graph, static_cast<VertexId>(rng.NextIndex(graph.NumVertices())));
+    benchmark::DoNotOptimize(row.data());
+  }
+  state.SetLabel(SsspGraphName(state.range(0)));
+}
+BENCHMARK(BM_DijkstraSssp)->DenseRange(0, 3)->Unit(benchmark::kMillisecond);
 
 void BM_AStarP2P(benchmark::State& state) {
   const World& w = World::Get();

@@ -46,7 +46,9 @@
 // relaxed counter. Tests and benchmarks read deltas of
 // FlatHeapAllocStats() around a workload to assert hot loops are
 // allocation-free after warmup (bench/throughput.cc records the delta
-// per cell as "heap_grows").
+// per cell as "heap_grows"). Frontiers that are not a FlatHeap (the
+// bucket queue of DijkstraSearch::SsspInto) report their growths to the
+// same counter through RecordFrontierGrowth().
 
 #ifndef FANNR_COMMON_FLAT_HEAP_H_
 #define FANNR_COMMON_FLAT_HEAP_H_
@@ -79,6 +81,12 @@ inline FlatHeapStats FlatHeapAllocStats() {
       internal_flat_heap::g_grows.load(std::memory_order_relaxed)};
 }
 
+/// Counts one backing-store growth of a search frontier that is not a
+/// FlatHeap, so FlatHeapAllocStats() covers every frontier.
+inline void RecordFrontierGrowth() {
+  internal_flat_heap::g_grows.fetch_add(1, std::memory_order_relaxed);
+}
+
 /// Min-heap on `Less` (top() is the Less-least element) over flat
 /// contiguous storage. Not thread-safe; one instance per search object.
 template <typename T, typename Less = std::less<T>>
@@ -99,7 +107,7 @@ class FlatHeap {
 
   void reserve(size_t n) {
     if (n > data_.capacity()) {
-      internal_flat_heap::g_grows.fetch_add(1, std::memory_order_relaxed);
+      RecordFrontierGrowth();
       data_.reserve(n);
     }
   }
@@ -110,9 +118,7 @@ class FlatHeap {
   }
 
   void push(T value) {
-    if (data_.size() == data_.capacity()) {
-      internal_flat_heap::g_grows.fetch_add(1, std::memory_order_relaxed);
-    }
+    if (data_.size() == data_.capacity()) RecordFrontierGrowth();
     data_.push_back(std::move(value));
     SiftUp(data_.size() - 1);
   }

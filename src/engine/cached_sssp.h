@@ -6,7 +6,8 @@
 // a SourceDistanceCache shared across the batch (recomputing with a
 // per-engine DijkstraSearch on miss), so the second and every later
 // query of a batch that evaluates the same candidate pays a hash lookup
-// plus an O(|Q|) gather instead of an O(|E| log |V|) search.
+// plus an O(|Q|) gather instead of a full-graph search (a bucket-queue
+// Dijkstra on road networks, see DijkstraSearch::SsspInto).
 //
 // Exactness: the vector holds exact Dijkstra distances, so results equal
 // the INE/A*/PHL engines' up to floating-point summation order, and are
@@ -64,7 +65,7 @@ class CachedSsspEngine : public GphiEngine {
   GphiResult Evaluate(VertexId p, size_t k, Aggregate aggregate) override;
   /// Reserves the Dijkstra frontier for a full-graph search (see
   /// DijkstraSearch::ReserveFullSearch), making miss-path SSSP
-  /// computations heap-regrowth-free from the first call.
+  /// computations regrowth-free from the first call.
   void PrewarmScratch() override;
   std::string_view name() const override { return "Cached-SSSP"; }
 

@@ -1,6 +1,9 @@
 #include "sp/dijkstra.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <limits>
 #include <unordered_map>
 #include <utility>
 
@@ -14,6 +17,9 @@ namespace {
 // as the tiebreaker (lexicographic pair comparison).
 using HeapEntry = std::pair<Weight, VertexId>;
 using MinHeap = FlatHeap<HeapEntry>;
+
+// End of a bucket list or of the free list.
+constexpr uint32_t kNoEntry = std::numeric_limits<uint32_t>::max();
 
 }  // namespace
 
@@ -107,7 +113,45 @@ DijkstraSearch::DijkstraSearch(const Graph& graph)
 void DijkstraSearch::ReserveFullSearch() {
   // One initial push plus at most one push per strict distance
   // improvement, of which there are at most NumArcs().
-  heap_.reserve(graph_.NumArcs() + 1);
+  const size_t pushes = graph_.NumArcs() + 1;
+  heap_.reserve(pushes);
+  if (RefreshBuckets() && pushes > pool_.capacity()) {
+    RecordFrontierGrowth();
+    pool_.reserve(pushes);
+  }
+}
+
+bool DijkstraSearch::RefreshBuckets() {
+  const GraphEpoch epoch = graph_.epoch();
+  if (bucket_epoch_ == epoch) return inv_width_ > 0.0;
+  bucket_epoch_ = epoch;
+  inv_width_ = 0.0;
+  Weight w_min = kInfWeight;
+  Weight w_max = 0.0;
+  const size_t n = graph_.NumVertices();
+  for (VertexId u = 0; u < n; ++u) {
+    for (const Arc& a : graph_.Neighbors(u)) {
+      w_min = std::min(w_min, a.weight);
+      w_max = std::max(w_max, a.weight);
+    }
+  }
+  // A relaxation from the bucket being drained lands at most
+  // ceil(w_max / w_min) + 1 buckets ahead; two more slots absorb
+  // rounding in the bucket index. No arcs leaves w_min > w_max.
+  const Weight inv = 1.0 / w_min;
+  const Weight span = std::ceil(w_max * inv) + 3.0;
+  if (!(w_min > 0.0 && w_min <= w_max && std::isfinite(w_max) &&
+        std::isfinite(inv) && span <= static_cast<Weight>(n))) {
+    return false;
+  }
+  const uint64_t ring = std::bit_ceil(static_cast<uint64_t>(span));
+  if (ring > n) return false;
+  inv_width_ = inv;
+  ring_mask_ = ring - 1;
+  if (ring > slot_head_.capacity()) RecordFrontierGrowth();
+  slot_head_.assign(ring, kNoEntry);
+  open_.reserve(ring);  // ids in open_ are distinct slots of the ring
+  return true;
 }
 
 Weight DijkstraSearch::Distance(VertexId source, VertexId target) {
@@ -140,6 +184,70 @@ void DijkstraSearch::SsspInto(VertexId source, std::vector<Weight>& out) {
   // distance array — no TimestampedArray indirection and no copy-out
   // pass. assign() on an already-|V|-sized vector reuses its storage.
   out.assign(graph_.NumVertices(), kInfWeight);
+  if (RefreshBuckets()) {
+    SsspBuckets(source, out);
+  } else {
+    SsspHeap(source, out);
+  }
+}
+
+void DijkstraSearch::SsspBuckets(VertexId source, std::vector<Weight>& out) {
+  const Weight inv_width = inv_width_;
+  const uint64_t mask = ring_mask_;
+  // Every search drains the queue, so all slot lists start empty.
+  uint32_t* const head = slot_head_.data();
+  pool_.clear();
+  free_head_ = kNoEntry;
+  open_.clear();
+  uint64_t cur = 0;  // id of the bucket being drained
+
+  const auto push = [&](Weight d, VertexId v, uint64_t bucket) {
+    uint32_t& slot = head[bucket & mask];
+    if (slot == kNoEntry && bucket != cur) open_.push(bucket);
+    uint32_t idx = free_head_;
+    if (idx != kNoEntry) {
+      free_head_ = pool_[idx].next;
+      pool_[idx] = {d, v, slot};
+    } else {
+      FANNR_DCHECK(pool_.size() < kNoEntry);
+      idx = static_cast<uint32_t>(pool_.size());
+      if (pool_.size() == pool_.capacity()) RecordFrontierGrowth();
+      pool_.push_back({d, v, slot});
+    }
+    slot = idx;
+  };
+
+  out[source] = 0.0;
+  push(0.0, source, 0);
+  open_.push(0);
+  while (!open_.empty()) {
+    cur = open_.top();
+    const uint64_t last = cur + mask;  // furthest bucket the ring holds
+    const Weight last_f = static_cast<Weight>(last);
+    uint32_t& list = head[cur & mask];
+    while (list != kNoEntry) {
+      const uint32_t idx = list;
+      const BucketEntry entry = pool_[idx];
+      list = entry.next;
+      pool_[idx].next = free_head_;
+      free_head_ = idx;
+      if (entry.dist > out[entry.vertex]) continue;  // stale entry
+      for (const Arc& a : graph_.Neighbors(entry.vertex)) {
+        const Weight nd = entry.dist + a.weight;
+        if (nd < out[a.to]) {
+          out[a.to] = nd;
+          const Weight f = nd * inv_width;
+          const uint64_t bucket =
+              f < last_f ? static_cast<uint64_t>(f) : last;
+          push(nd, a.to, std::clamp(bucket, cur, last));
+        }
+      }
+    }
+    open_.pop();
+  }
+}
+
+void DijkstraSearch::SsspHeap(VertexId source, std::vector<Weight>& out) {
   heap_.clear();
   out[source] = 0.0;
   heap_.push({0.0, source});

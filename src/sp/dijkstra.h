@@ -2,10 +2,18 @@
 // queries, and SSSP with per-vertex parents. The reusable DijkstraSearch
 // object amortizes scratch-array allocation across queries (important when
 // an FANN_R algorithm evaluates g_phi for thousands of candidate points).
+//
+// Every kernel here runs on the 4-ary FlatHeap except
+// DijkstraSearch::SsspInto, the full-row kernel behind the distance
+// cache's miss path, which runs on a bucket queue when the graph's arc
+// weights allow it (see SsspInto). DijkstraSssp stays heap-based: it is
+// the reference the bucket queue is tested against.
 
 #ifndef FANNR_SP_DIJKSTRA_H_
 #define FANNR_SP_DIJKSTRA_H_
 
+#include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -53,28 +61,85 @@ class DijkstraSearch {
   /// Full SSSP from `source` written into `out` (resized to |V|;
   /// kInfWeight = unreachable). Equivalent to DijkstraSssp but reuses
   /// this object's scratch, so a worker thread running many sources only
-  /// allocates the output. The result is identical (bit for bit) for a
-  /// given graph and source regardless of which search object ran it.
+  /// allocates the output. The result is identical (bit for bit) to
+  /// DijkstraSssp for a given graph and source, whichever search object
+  /// ran it.
+  ///
+  /// The frontier is Dial's bucket queue generalised to real weights:
+  /// bucket b holds the entries with floor(d / w_min) == b, where w_min
+  /// is the smallest arc weight, and a bucket is drained in any order
+  /// (LIFO). A popped entry with d > out[u] is stale and skipped; a
+  /// vertex improved again after its scan is pushed and scanned again.
+  /// Only a rounding edge can put such an improvement into the bucket
+  /// being drained; anything that would land below it is clamped into
+  /// it, anything beyond the ring into its last slot.
+  ///
+  /// Why the row is bitwise DijkstraSssp's: weights are > 0 and
+  /// floating-point addition rounds monotonically (a <= b implies
+  /// fl(a + w) <= fl(b + w)). Every label is the left-folded sum of
+  /// some path, and a vertex's last improvement is always scanned, so
+  /// on exit out[v] <= fl(out[u] + w(u, v)) for every arc. By induction
+  /// along any path, out[v] is then the minimum over paths of the
+  /// folded sum — the one fixed point that the heap's settle order
+  /// reaches too. Settle order cannot change a bit.
+  ///
+  /// When the heap runs instead: the ring needs
+  /// bit_ceil(ceil(w_max / w_min) + 3) slots, and when that exceeds
+  /// |V| (a weight ratio beyond about |V|, where buckets would hold one
+  /// vertex each), or w_min / w_max do not give a finite positive
+  /// width, the heap loop of DijkstraSssp runs on this object's scratch.
+  /// The choice is re-derived from the arc weights whenever
+  /// graph().epoch() changes; it depends on the input alone.
   void SsspInto(VertexId source, std::vector<Weight>& out);
 
   /// Grows the frontier to the worst case of a full search up front:
   /// lazy-deletion Dijkstra pushes once per strict improvement, at most
   /// NumArcs() + 1 times, so after this call no search on this object
-  /// ever regrows the heap. Costs O(NumArcs()) bytes of memory; called
-  /// by batch workers at construction so the solve phase is
-  /// allocation-free from the first query (see
-  /// BatchOptions::prewarm_scratch).
+  /// regrows the heap or the bucket queue's entry pool at the current
+  /// epoch (a weight update that widens the ring regrows its slots).
+  /// Costs O(NumArcs()) bytes of address space; pages are touched only
+  /// as the frontier reaches them. Called by batch workers at
+  /// construction so the solve phase is allocation-free from the first
+  /// query (see BatchOptions::prewarm_scratch).
   void ReserveFullSearch();
 
   const Graph& graph() const { return graph_; }
 
  private:
+  // One bucket-queue entry; `next` threads it onto its bucket's list or
+  // onto the free list.
+  struct BucketEntry {
+    Weight dist;
+    VertexId vertex;
+    uint32_t next;
+  };
+
+  // Re-derives the bucket width and ring from the arc weights when the
+  // graph's epoch moved; true when SsspInto runs on the bucket queue.
+  bool RefreshBuckets();
+  void SsspBuckets(VertexId source, std::vector<Weight>& out);
+  void SsspHeap(VertexId source, std::vector<Weight>& out);
+
   const Graph& graph_;
   TimestampedArray<Weight> dist_;
   TimestampedArray<uint8_t> settled_;
   // Persistent frontier: clear() keeps capacity, so steady-state queries
   // run with zero heap allocations.
   FlatHeap<std::pair<Weight, VertexId>> heap_;
+
+  // Bucket queue (SsspInto). Shaped for `bucket_epoch_` (none yet when
+  // empty); a zero `inv_width_` selects the heap. Slot b & ring_mask_
+  // heads bucket b's list in `pool_`; `open_` holds the ids of non-empty
+  // buckets, so empty ones are never scanned. Popped entries go onto
+  // `free_head_` and are reused first, so the pool only grows to the
+  // live frontier.
+  std::optional<GraphEpoch> bucket_epoch_;
+  Weight inv_width_ = 0.0;
+  uint64_t ring_mask_ = 0;
+  std::vector<uint32_t> slot_head_;
+  std::vector<BucketEntry> pool_;
+  uint32_t free_head_ = 0;
+  FlatHeap<uint64_t> open_;
 };
 
 }  // namespace fannr

@@ -553,6 +553,13 @@ std::vector<std::string> RunDifferentialChecks(
   IndexedVertexSet p_set(graph.NumVertices(), scenario.p);
   IndexedVertexSet q_set(graph.NumVertices(), scenario.q);
   auto matrix = OracleDistanceMatrix(graph, scenario.p, scenario.q);
+  {
+    DijkstraSearch search(graph);
+    for (VertexId p : SsspKernelMismatches(search, scenario.p)) {
+      report.Add("[sssp] SsspInto row from p=" + std::to_string(p) +
+                 " differs bitwise from DijkstraSssp");
+    }
+  }
 
   // Weighted scenarios: scale the oracle matrix to w_i * d(q_i, p) up
   // front. Every downstream check (oracle ranking, subset folds, rank

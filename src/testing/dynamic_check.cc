@@ -163,6 +163,10 @@ std::vector<std::string> RunDynamicUpdateChecks(
         std::make_unique<BatchQueryEngine>(resources, bo));
   }
 
+  // One search object for the kernel check of every wave: its bucket
+  // shape is re-derived at each epoch, never rebuilt from scratch.
+  DijkstraSearch kernel_search(graph);
+
   Rng rng(scenario.seed * 0x9E3779B97F4A7C15ULL + 0xD1B54A32D192ED03ULL);
 
   for (size_t wave = 0; wave <= options.num_waves; ++wave) {
@@ -209,6 +213,11 @@ std::vector<std::string> RunDynamicUpdateChecks(
                      "reported no epoch evictions");
         }
       }
+    }
+
+    for (VertexId p : SsspKernelMismatches(kernel_search, scenario.p)) {
+      report.Add(wave_label + ": SsspInto row from p=" + std::to_string(p) +
+                 " differs bitwise from DijkstraSssp");
     }
 
     for (Aggregate aggregate : aggregates) {

@@ -1,6 +1,7 @@
 #include "testing/oracle.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/check.h"
 #include "sp/dijkstra.h"
@@ -47,6 +48,22 @@ std::vector<OracleEntry> OracleRanking(const Graph& graph,
                                               : a.vertex < b.vertex;
             });
   return ranking;
+}
+
+std::vector<VertexId> SsspKernelMismatches(
+    DijkstraSearch& search, const std::vector<VertexId>& sources) {
+  std::vector<VertexId> mismatched;
+  std::vector<Weight> row;
+  for (VertexId source : sources) {
+    search.SsspInto(source, row);
+    const std::vector<Weight> want = DijkstraSssp(search.graph(), source);
+    if (row.size() != want.size() ||
+        std::memcmp(row.data(), want.data(), want.size() * sizeof(Weight)) !=
+            0) {
+      mismatched.push_back(source);
+    }
+  }
+  return mismatched;
 }
 
 }  // namespace fannr::testing

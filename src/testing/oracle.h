@@ -15,6 +15,7 @@
 
 #include "fann/aggregate.h"
 #include "graph/graph.h"
+#include "sp/dijkstra.h"
 
 namespace fannr::testing {
 
@@ -43,6 +44,14 @@ std::vector<OracleEntry> OracleRanking(const Graph& graph,
                                        const std::vector<VertexId>& p,
                                        const std::vector<VertexId>& q,
                                        double phi, Aggregate aggregate);
+
+/// The members of `sources` whose DijkstraSearch::SsspInto row (run on
+/// `search`, reused across sources) differs in any bit from the
+/// heap-based DijkstraSssp reference. The solver checks compare
+/// distances with a 1e-9 relative tolerance, which cannot see last-ulp
+/// drift in the cache's miss-path kernel; this check can.
+std::vector<VertexId> SsspKernelMismatches(
+    DijkstraSearch& search, const std::vector<VertexId>& sources);
 
 }  // namespace fannr::testing
 

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <string>
+
 #include "graph/builder.h"
+#include "graph/presets.h"
 #include "test_util.h"
+#include "testing/oracle.h"
 
 namespace fannr {
 namespace {
@@ -133,6 +139,185 @@ TEST(DijkstraSearchTest, MultiTargetUnreachable) {
   auto got = search.Distances(0, {1, 2});
   EXPECT_DOUBLE_EQ(got[0], 1.0);
   EXPECT_EQ(got[1], kInfWeight);
+}
+
+// --- SsspInto against the heap reference, bit for bit -------------------
+// Each test reuses ONE DijkstraSearch for every row it checks (and, for
+// weight updates, across epochs), so scratch left by an earlier row or
+// an earlier ring shape would show up as a mismatch.
+
+// SsspInto's documented rule for running the bucket queue rather than
+// the heap, restated from the input so each test can assert which side
+// of it its graph is on.
+bool RingFits(const Graph& g) {
+  Weight w_min = kInfWeight;
+  Weight w_max = 0.0;
+  for (VertexId u = 0; u < g.NumVertices(); ++u) {
+    for (const Arc& a : g.Neighbors(u)) {
+      w_min = std::min(w_min, a.weight);
+      w_max = std::max(w_max, a.weight);
+    }
+  }
+  if (!(w_min <= w_max)) return false;  // no arcs
+  const double span = std::ceil(w_max / w_min) + 3.0;
+  return span <= static_cast<double>(g.NumVertices()) &&
+         std::bit_ceil(static_cast<uint64_t>(span)) <= g.NumVertices();
+}
+
+void ExpectRowsBitwiseEqual(DijkstraSearch& search,
+                            const std::vector<VertexId>& sources,
+                            const std::string& label) {
+  EXPECT_EQ(testing::SsspKernelMismatches(search, sources),
+            std::vector<VertexId>{})
+      << label << ": sources whose row differs";
+}
+
+std::vector<VertexId> AllVertices(const Graph& g) {
+  std::vector<VertexId> all(g.NumVertices());
+  for (VertexId v = 0; v < all.size(); ++v) all[v] = v;
+  return all;
+}
+
+// A rows x cols 4-neighbour grid whose edge weights come from `weight`.
+template <typename WeightFn>
+Graph MakeWeightedGrid(VertexId rows, VertexId cols, WeightFn weight) {
+  GraphBuilder builder(rows * cols);
+  for (VertexId r = 0; r < rows; ++r) {
+    for (VertexId c = 0; c < cols; ++c) {
+      const VertexId v = r * cols + c;
+      if (c + 1 < cols) builder.AddEdge(v, v + 1, weight());
+      if (r + 1 < rows) builder.AddEdge(v, v + cols, weight());
+    }
+  }
+  return builder.Build();
+}
+
+TEST(SsspIntoTest, BitwiseOnTestPresetAndRandomNetworks) {
+  const Graph preset = BuildPreset("TEST");
+  ASSERT_TRUE(RingFits(preset));
+  DijkstraSearch preset_search(preset);
+  Rng rng(2026);
+  ExpectRowsBitwiseEqual(preset_search,
+                         testing::SampleVertices(preset, 40, rng), "TEST");
+  for (uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    const Graph g = testing::MakeRandomNetwork(400, seed);
+    DijkstraSearch search(g);
+    ExpectRowsBitwiseEqual(search, testing::SampleVertices(g, 30, rng),
+                           "random network seed " + std::to_string(seed));
+  }
+}
+
+TEST(SsspIntoTest, BitwiseOnIntegerTiesAndInexactSums) {
+  Rng rng(17);
+  // Unit weights: every bucket is one plateau of equal distances.
+  const Graph ties = MakeWeightedGrid(12, 12, [] { return 1.0; });
+  // Integer weights 1..4: many equal-distance routes to each vertex.
+  const Graph small_ints = MakeWeightedGrid(12, 12, [&rng] {
+    return static_cast<Weight>(1 + rng.NextIndex(4));
+  });
+  // 0.1 / 0.2 / 0.3 / 0.7: sums such as 0.1 + 0.2 != 0.3 make the
+  // result depend on the exact addition sequence of each path.
+  const Weight tenths[] = {0.1, 0.2, 0.3, 0.7};
+  const Graph inexact = MakeWeightedGrid(12, 12, [&rng, &tenths] {
+    return tenths[rng.NextIndex(4)];
+  });
+  // Weights in [2^53, 2^53 + 2^12]: every sum exceeds 2^53 and rounds
+  // (half-to-even ties included) at each addition.
+  const Graph huge = MakeWeightedGrid(12, 12, [&rng] {
+    return std::ldexp(1.0, 53) + 2.0 * static_cast<Weight>(rng.NextIndex(2048));
+  });
+  for (const Graph* g : {&ties, &small_ints, &inexact, &huge}) {
+    ASSERT_TRUE(RingFits(*g));
+    DijkstraSearch search(*g);
+    ExpectRowsBitwiseEqual(search, AllVertices(*g), "ring grid");
+  }
+}
+
+TEST(SsspIntoTest, BitwiseWhenTheWeightRatioRulesOutTheRing) {
+  Rng rng(23);
+  // Log-uniform weights over twelve decades: the heap side.
+  const Graph wide = MakeWeightedGrid(10, 10, [&rng] {
+    return std::pow(10.0, rng.NextDouble(0.0, 12.0));
+  });
+  ASSERT_FALSE(RingFits(wide));
+  DijkstraSearch search(wide);
+  ExpectRowsBitwiseEqual(search, AllVertices(wide), "ratio 1e12");
+}
+
+TEST(SsspIntoTest, BitwiseWithWeightsBelowOneUlpOfTheDistance) {
+  // A heavy edge into a ring of unit edges: past 2^60, adding 1.0 is
+  // absorbed (one ulp is 256), so whole stretches share one distance.
+  GraphBuilder builder(40);
+  builder.AddEdge(0, 1, std::ldexp(1.0, 60));
+  for (VertexId v = 1; v < 39; ++v) builder.AddEdge(v, v + 1, 1.0);
+  builder.AddEdge(39, 1, 3.0);
+  builder.AddEdge(0, 20, std::ldexp(1.0, 60) + 512.0);
+  const Graph g = builder.Build();
+  ASSERT_FALSE(RingFits(g));
+  DijkstraSearch search(g);
+  ExpectRowsBitwiseEqual(search, AllVertices(g), "sub-ulp weights");
+}
+
+TEST(SsspIntoTest, BitwiseOnDisconnectedComponentsAndAnIsolatedVertex) {
+  // Two grids side by side, never joined, plus vertex 50 with no arcs.
+  GraphBuilder builder(51);
+  Rng rng(5);
+  for (VertexId base : {VertexId{0}, VertexId{25}}) {
+    for (VertexId r = 0; r < 5; ++r) {
+      for (VertexId c = 0; c < 5; ++c) {
+        const VertexId v = base + r * 5 + c;
+        if (c + 1 < 5) builder.AddEdge(v, v + 1, rng.NextDouble(1.0, 3.0));
+        if (r + 1 < 5) builder.AddEdge(v, v + 5, rng.NextDouble(1.0, 3.0));
+      }
+    }
+  }
+  const Graph g = builder.Build();
+  ASSERT_EQ(g.Degree(50), 0u);
+  ASSERT_TRUE(RingFits(g));
+  DijkstraSearch search(g);
+  ExpectRowsBitwiseEqual(search, AllVertices(g), "two components");
+  std::vector<Weight> row;
+  search.SsspInto(50, row);
+  for (VertexId v = 0; v < 50; ++v) EXPECT_EQ(row[v], kInfWeight);
+  EXPECT_EQ(row[50], 0.0);
+
+  // A graph with no arcs at all has no bucket width: the heap runs.
+  const Graph bare = GraphBuilder(3).Build();
+  DijkstraSearch bare_search(bare);
+  ExpectRowsBitwiseEqual(bare_search, AllVertices(bare), "no arcs");
+}
+
+TEST(SsspIntoTest, BitwiseAcrossWeightUpdatesBetweenRingAndHeap) {
+  Rng rng(41);
+  Graph g = MakeWeightedGrid(8, 8, [&rng] { return rng.NextDouble(1.0, 2.0); });
+  DijkstraSearch search(g);
+  const std::vector<VertexId> sources = AllVertices(g);
+  const auto apply = [&g](VertexId u, VertexId v, Weight w) {
+    const EdgeWeightUpdate update{u, v, w};
+    ASSERT_EQ(g.ApplyWeightUpdates({&update, 1}).applied, 1u);
+  };
+  ASSERT_TRUE(RingFits(g));
+  ExpectRowsBitwiseEqual(search, sources, "epoch 0 (ring)");
+
+  apply(0, 1, 1e-9);  // lowers w_min past the ring bound
+  ASSERT_FALSE(RingFits(g));
+  ExpectRowsBitwiseEqual(search, sources, "w_min lowered (heap)");
+
+  apply(0, 1, 1.5);  // back onto the ring
+  ASSERT_TRUE(RingFits(g));
+  ExpectRowsBitwiseEqual(search, sources, "w_min restored (ring)");
+
+  apply(9, 10, 1e12);  // raises w_max past the ring bound
+  ASSERT_FALSE(RingFits(g));
+  ExpectRowsBitwiseEqual(search, sources, "w_max raised (heap)");
+
+  apply(9, 10, 20.0);  // a wider ring than at epoch 0, still fits
+  ASSERT_TRUE(RingFits(g));
+  ExpectRowsBitwiseEqual(search, sources, "w_max widened (ring)");
+
+  apply(9, 10, 0.6);  // lowers w_min on the ring: a narrower width
+  ASSERT_TRUE(RingFits(g));
+  ExpectRowsBitwiseEqual(search, sources, "w_min lowered (ring)");
 }
 
 }  // namespace
