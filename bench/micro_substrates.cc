@@ -134,6 +134,36 @@ void BM_SsspInto(benchmark::State& state) {
 }
 BENCHMARK(BM_SsspInto)->DenseRange(0, 3)->Unit(benchmark::kMillisecond);
 
+// Rows bounded by Q on DE, in solve-cold's shape: a random p and |Q| =
+// state.range(0) points drawn from a 10%-coverage region (64 pre-drawn
+// Q sets, so generation stays out of the timed loop). Compare with
+// BM_SsspInto/1, the full row the cache's first miss used to build.
+void BM_SsspBoundedInto(benchmark::State& state) {
+  const Graph& graph = SsspGraph(1);
+  Rng rng(37);
+  std::vector<std::vector<VertexId>> q_sets;
+  for (int i = 0; i < 64; ++i) {
+    q_sets.push_back(GenerateUniformQueryPoints(
+        graph, 0.1, static_cast<size_t>(state.range(0)), rng));
+  }
+  DijkstraSearch search(graph);
+  std::vector<Weight> row;
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(search.SsspInto(
+        static_cast<VertexId>(rng.NextIndex(graph.NumVertices())),
+        q_sets[i++ % q_sets.size()], row));
+    benchmark::DoNotOptimize(row.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel("DE");
+}
+BENCHMARK(BM_SsspBoundedInto)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(16)
+    ->Unit(benchmark::kMillisecond);
+
 // The heap-based reference kernel on the same graphs and sources.
 void BM_DijkstraSssp(benchmark::State& state) {
   const Graph& graph = SsspGraph(state.range(0));

@@ -94,8 +94,10 @@ BatchQueryEngine::BatchQueryEngine(const GphiResources& resources,
       capacity =
           std::max<size_t>(1, options_.cache_memory_budget_bytes / entry_bytes);
     }
-    cache_ = std::make_shared<SourceDistanceCache>(capacity,
-                                                   options_.cache_shards);
+    // One spare row per worker: each worker computes at most one row
+    // at a time.
+    cache_ = std::make_shared<SourceDistanceCache>(
+        capacity, options_.cache_shards, pool_.num_workers());
   }
   worker_engines_.reserve(pool_.num_workers());
   cached_engines_.reserve(pool_.num_workers());
@@ -503,6 +505,10 @@ std::vector<FannResult> BatchQueryEngine::Run(
     report.cache.evictions = cache_after.evictions - cache_before.evictions;
     report.cache.epoch_evictions =
         cache_after.epoch_evictions - cache_before.epoch_evictions;
+    report.cache.narrow_misses =
+        cache_after.narrow_misses - cache_before.narrow_misses;
+    report.cache.bounded_rows =
+        cache_after.bounded_rows - cache_before.bounded_rows;
     report.cache_entries = cache_ != nullptr ? cache_->size() : 0;
     metrics_->Set(m_cache_entries_,
                   static_cast<double>(report.cache_entries));

@@ -36,30 +36,40 @@ GphiResult CachedSsspEngine::Evaluate(VertexId p, size_t k,
     // as no update races the solve; the batch engine guarantees that by
     // rejecting jobs whose batch straddles an epoch change.
     const GraphEpoch epoch = graph_.epoch();
-    bool stale_evicted = false;
-    cached = cache_->Lookup(p, epoch, &stale_evicted);
-    if (stale_evicted) {
+    SourceDistanceCache::Probe probe = SourceDistanceCache::Probe::kAbsent;
+    cached = cache_->Lookup(p, epoch, query_points_->members(), &probe);
+    if (probe == SourceDistanceCache::Probe::kStale) {
       ++probes_.epoch_evictions;
     }
     if (cached == nullptr) {
       ++probes_.misses;
-      std::vector<Weight> fresh;
+      // The cache is its own doorkeeper. While the source's shard has
+      // room, a row evicts nothing and is built whole. Once it is full,
+      // a source the cache does not hold gets a row bounded by Q; one it
+      // held at another epoch, or held too narrow, has been read before
+      // and gets the full row.
+      std::vector<Weight> fresh = cache_->TakeSpareRow();
+      Weight radius = kInfWeight;
       {
         Timer sssp_timer;
-        search_.SsspInto(p, fresh);
+        if (probe == SourceDistanceCache::Probe::kAbsentFull) {
+          radius = search_.SsspInto(p, query_points_->members(), fresh);
+        } else {
+          search_.SsspInto(p, fresh);
+        }
         if (registry_ != nullptr) {
           registry_->Record(handles_.sssp_compute_ms, sssp_timer.Millis(),
                             metrics_shard_);
         }
       }
-      cached = cache_->Insert(p, epoch, std::move(fresh));
+      cached = cache_->Insert(p, epoch, std::move(fresh), radius);
     } else {
       ++probes_.hits;
     }
     sssp = cached.get();
   } else {
     Timer sssp_timer;
-    search_.SsspInto(p, scratch_sssp_);
+    search_.SsspInto(p, query_points_->members(), scratch_sssp_);
     if (registry_ != nullptr) {
       registry_->Record(handles_.sssp_compute_ms, sssp_timer.Millis(),
                         metrics_shard_);

@@ -6,13 +6,33 @@
 // a SourceDistanceCache shared across the batch (recomputing with a
 // per-engine DijkstraSearch on miss), so the second and every later
 // query of a batch that evaluates the same candidate pays a hash lookup
-// plus an O(|Q|) gather instead of a full-graph search (a bucket-queue
+// plus an O(|Q|) gather instead of a graph search (a bucket-queue
 // Dijkstra on road networks, see DijkstraSearch::SsspInto).
 //
-// Exactness: the vector holds exact Dijkstra distances, so results equal
-// the INE/A*/PHL engines' up to floating-point summation order, and are
-// bitwise identical to any other CachedSsspEngine on the same graph —
-// regardless of cache hits, sharing, or which thread filled the cache.
+// Miss rows and the doorkeeper rule. Once the cache is full, most
+// sources a cold workload evaluates are never read again, so a row is
+// only as wide as it has to be, and the cache itself decides when a
+// source deserves more:
+//   * while the source's cache shard has room, a miss evicts nothing
+//     and builds the full row;
+//   * once the shard is full, a source the cache does not hold gets a
+//     row bounded by Q — the search stops once every q is final, and
+//     the row is inserted stamped with its radius (see
+//     SourceDistanceCache);
+//   * a source the cache held at another epoch, or held with a radius
+//     that misses this Q (a narrow miss), has been read before and gets
+//     the full row, which replaces the narrow one;
+//   * without a cache every row is bounded by Q.
+// Miss rows are built in buffers recycled from rows the cache dropped
+// (SourceDistanceCache::TakeSpareRow), so row churn does not keep
+// faulting in fresh memory.
+//
+// Exactness: a row holds exact Dijkstra distances for every vertex within
+// its radius, and the cache returns a row only when all of Q is within
+// it, so results equal the INE/A*/PHL engines' up to floating-point
+// summation order, and are bitwise identical to any other
+// CachedSsspEngine on the same graph — regardless of cache hits,
+// sharing, row widths, or which thread filled the cache.
 // Under live weight updates (dynamic/update.h) every cache probe carries
 // the graph's current epoch, so a vector computed before an UpdateBatch
 // is lazily reclaimed rather than returned — correctness survives updates
@@ -41,7 +61,7 @@ class CachedSsspEngine : public GphiEngine {
   /// counters around a solve attribute cache activity to that query.
   struct ProbeCounters {
     size_t hits = 0;
-    size_t misses = 0;
+    size_t misses = 0;  ///< Narrow misses included, as in the cache.
     size_t epoch_evictions = 0;  ///< Misses that reclaimed a stale entry.
   };
 
@@ -92,7 +112,7 @@ class CachedSsspEngine : public GphiEngine {
   DijkstraSearch search_;
   const IndexedVertexSet* query_points_ = nullptr;
   std::span<const double> weights_;    // per-q weights; empty = unweighted
-  std::vector<Weight> scratch_sssp_;   // miss path without a cache
+  std::vector<Weight> scratch_sssp_;   // bounded rows without a cache
   std::vector<Weight> q_distances_;    // gather target, |Q| entries
   internal_gphi::SelectScratch select_scratch_;
   ProbeCounters probes_;

@@ -842,6 +842,8 @@ std::string FannServer::StatsJson() const {
          ", \"misses\": " + std::to_string(cache.misses) +
          ", \"evictions\": " + std::to_string(cache.evictions) +
          ", \"epoch_evictions\": " + std::to_string(cache.epoch_evictions) +
+         ", \"narrow_misses\": " + std::to_string(cache.narrow_misses) +
+         ", \"bounded_rows\": " + std::to_string(cache.bounded_rows) +
          "}\n}";
   return out;
 }

@@ -102,6 +102,8 @@ std::string BatchReport::ToJson(int indent) const {
          ", \"lookups\": " + std::to_string(cache.hits + cache.misses) +
          ", \"evictions\": " + std::to_string(cache.evictions) +
          ", \"epoch_evictions\": " + std::to_string(cache.epoch_evictions) +
+         ", \"narrow_misses\": " + std::to_string(cache.narrow_misses) +
+         ", \"bounded_rows\": " + std::to_string(cache.bounded_rows) +
          ", \"resident_entries\": " + std::to_string(cache_entries) + "},\n";
   out += in + "\"attributed_cache_hits\": " +
          std::to_string(attributed_cache_hits) + ",\n";

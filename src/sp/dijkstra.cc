@@ -179,27 +179,45 @@ Weight DijkstraSearch::Distance(VertexId source, VertexId target) {
 }
 
 void DijkstraSearch::SsspInto(VertexId source, std::vector<Weight>& out) {
+  SsspRow(source, nullptr, out);
+}
+
+Weight DijkstraSearch::SsspInto(VertexId source,
+                                std::span<const VertexId> targets,
+                                std::vector<Weight>& out) {
+  for (VertexId t : targets) FANNR_CHECK(t < graph_.NumVertices());
+  return SsspRow(source, &targets, out);
+}
+
+Weight DijkstraSearch::SsspRow(VertexId source,
+                               const std::span<const VertexId>* targets,
+                               std::vector<Weight>& out) {
   FANNR_CHECK(source < graph_.NumVertices());
   // A full SSSP writes every vertex, so `out` itself serves as the
   // distance array — no TimestampedArray indirection and no copy-out
-  // pass. assign() on an already-|V|-sized vector reuses its storage.
+  // pass. assign() on an already-|V|-sized vector reuses its storage;
+  // a bounded search needs the kInfWeight fill too, as the label of
+  // every vertex it never reaches.
   out.assign(graph_.NumVertices(), kInfWeight);
-  if (RefreshBuckets()) {
-    SsspBuckets(source, out);
-  } else {
-    SsspHeap(source, out);
-  }
+  return RefreshBuckets() ? SsspBuckets(source, targets, out)
+                          : SsspHeap(source, targets, out);
 }
 
-void DijkstraSearch::SsspBuckets(VertexId source, std::vector<Weight>& out) {
+Weight DijkstraSearch::SsspBuckets(VertexId source,
+                                   const std::span<const VertexId>* targets,
+                                   std::vector<Weight>& out) {
   const Weight inv_width = inv_width_;
   const uint64_t mask = ring_mask_;
-  // Every search drains the queue, so all slot lists start empty.
   uint32_t* const head = slot_head_.data();
+  if (slots_dirty_) {
+    std::fill(slot_head_.begin(), slot_head_.end(), kNoEntry);
+    slots_dirty_ = false;
+  }
   pool_.clear();
   free_head_ = kNoEntry;
   open_.clear();
   uint64_t cur = 0;  // id of the bucket being drained
+  size_t final_targets = 0;  // targets[0, final_targets) are final
 
   const auto push = [&](Weight d, VertexId v, uint64_t bucket) {
     uint32_t& slot = head[bucket & mask];
@@ -244,15 +262,55 @@ void DijkstraSearch::SsspBuckets(VertexId source, std::vector<Weight>& out) {
       }
     }
     open_.pop();
+    // Between buckets: every queued entry sits in a bucket b >= the
+    // next open one and has d * inv_width >= b (ids past 2^53 would
+    // round in the comparison, so those searches run on to the end).
+    if (targets == nullptr || open_.empty()) continue;
+    const uint64_t next = open_.top();
+    if (next > (uint64_t{1} << 53)) continue;
+    const Weight bound = static_cast<Weight>(next);
+    while (final_targets < targets->size() &&
+           out[(*targets)[final_targets]] * inv_width < bound) {
+      ++final_targets;
+    }
+    if (final_targets < targets->size()) continue;
+    // The radius: the largest d with d * inv_width < bound. Rounded
+    // multiplication is monotone in d, so step from bound / inv_width
+    // to the edge one double at a time (a few steps at most).
+    Weight radius = bound / inv_width;
+    if (!std::isfinite(radius)) continue;
+    while (radius > 0.0 && radius * inv_width >= bound) {
+      radius = std::nextafter(radius, 0.0);
+    }
+    for (Weight up = std::nextafter(radius, kInfWeight);
+         up * inv_width < bound; up = std::nextafter(up, kInfWeight)) {
+      radius = up;
+    }
+    slots_dirty_ = true;
+    return radius;
   }
+  return kInfWeight;
 }
 
-void DijkstraSearch::SsspHeap(VertexId source, std::vector<Weight>& out) {
+Weight DijkstraSearch::SsspHeap(VertexId source,
+                                const std::span<const VertexId>* targets,
+                                std::vector<Weight>& out) {
   heap_.clear();
   out[source] = 0.0;
   heap_.push({0.0, source});
+  size_t final_targets = 0;  // targets[0, final_targets) are final
   while (!heap_.empty()) {
     auto [d, u] = heap_.top();
+    if (targets != nullptr) {
+      // Every queued entry is >= d, so a label below d is final.
+      while (final_targets < targets->size() &&
+             out[(*targets)[final_targets]] < d) {
+        ++final_targets;
+      }
+      if (final_targets == targets->size()) {
+        return std::nextafter(d, -kInfWeight);
+      }
+    }
     heap_.pop();
     if (d > out[u]) continue;
     for (const Arc& a : graph_.Neighbors(u)) {
@@ -263,6 +321,7 @@ void DijkstraSearch::SsspHeap(VertexId source, std::vector<Weight>& out) {
       }
     }
   }
+  return kInfWeight;
 }
 
 std::vector<Weight> DijkstraSearch::Distances(

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -92,6 +93,28 @@ class DijkstraSearch {
   /// graph().epoch() changes; it depends on the input alone.
   void SsspInto(VertexId source, std::vector<Weight>& out);
 
+  /// Bounded form of SsspInto: runs the same queue from `source` but
+  /// stops once every member of `targets` has its final label, and
+  /// returns a radius r. Afterwards every vertex v with true distance
+  /// d(v) <= r holds out[v] == d(v), bit for bit as in DijkstraSssp, and
+  /// every other vertex holds out[v] > r (a tentative label or
+  /// kInfWeight); every target is among the former. Duplicate targets
+  /// and the source itself are allowed. r is kInfWeight, and `out` is
+  /// the full row, when a target is unreachable or the queue empties
+  /// first.
+  ///
+  /// Why a label <= r is final: every entry still queued has distance
+  /// > r, and a vertex whose label is not final has, on a shortest path
+  /// to it, a queued predecessor whose final label is no larger than
+  /// its own (weights are > 0 and rounding is monotone). So r is the
+  /// largest distance below the queue's lower bound: on the heap the
+  /// next double down from the top entry's distance; on the bucket
+  /// queue, checked between buckets, the largest d with
+  /// d * (1 / w_min) below the next open bucket's id, since every
+  /// queued entry in bucket b has d * (1 / w_min) >= b.
+  Weight SsspInto(VertexId source, std::span<const VertexId> targets,
+                  std::vector<Weight>& out);
+
   /// Grows the frontier to the worst case of a full search up front:
   /// lazy-deletion Dijkstra pushes once per strict improvement, at most
   /// NumArcs() + 1 times, so after this call no search on this object
@@ -117,8 +140,15 @@ class DijkstraSearch {
   // Re-derives the bucket width and ring from the arc weights when the
   // graph's epoch moved; true when SsspInto runs on the bucket queue.
   bool RefreshBuckets();
-  void SsspBuckets(VertexId source, std::vector<Weight>& out);
-  void SsspHeap(VertexId source, std::vector<Weight>& out);
+  // Full row when `targets` is null; otherwise the bounded search,
+  // returning its radius.
+  Weight SsspRow(VertexId source, const std::span<const VertexId>* targets,
+                 std::vector<Weight>& out);
+  Weight SsspBuckets(VertexId source,
+                     const std::span<const VertexId>* targets,
+                     std::vector<Weight>& out);
+  Weight SsspHeap(VertexId source, const std::span<const VertexId>* targets,
+                  std::vector<Weight>& out);
 
   const Graph& graph_;
   TimestampedArray<Weight> dist_;
@@ -132,7 +162,8 @@ class DijkstraSearch {
   // heads bucket b's list in `pool_`; `open_` holds the ids of non-empty
   // buckets, so empty ones are never scanned. Popped entries go onto
   // `free_head_` and are reused first, so the pool only grows to the
-  // live frontier.
+  // live frontier. A bounded search leaves entries queued; it sets
+  // `slots_dirty_` and the next search empties the ring first.
   std::optional<GraphEpoch> bucket_epoch_;
   Weight inv_width_ = 0.0;
   uint64_t ring_mask_ = 0;
@@ -140,6 +171,7 @@ class DijkstraSearch {
   std::vector<BucketEntry> pool_;
   uint32_t free_head_ = 0;
   FlatHeap<uint64_t> open_;
+  bool slots_dirty_ = false;
 };
 
 }  // namespace fannr

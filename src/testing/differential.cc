@@ -555,7 +555,7 @@ std::vector<std::string> RunDifferentialChecks(
   auto matrix = OracleDistanceMatrix(graph, scenario.p, scenario.q);
   {
     DijkstraSearch search(graph);
-    for (VertexId p : SsspKernelMismatches(search, scenario.p)) {
+    for (VertexId p : SsspKernelMismatches(search, scenario.p, scenario.q)) {
       report.Add("[sssp] SsspInto row from p=" + std::to_string(p) +
                  " differs bitwise from DijkstraSssp");
     }
@@ -638,6 +638,10 @@ std::vector<std::string> RunDifferentialChecks(
     single.num_threads = 1;
     BatchOptions multi;
     multi.num_threads = std::max<size_t>(2, options.batch_threads);
+    // Two entries keep the multi-threaded engine's cache full, so its
+    // misses build rows bounded by Q, narrow misses and recycled rows,
+    // against the single-threaded engine's full rows.
+    multi.cache_capacity = 2;
     std::vector<FannResult> seq =
         BatchQueryEngine(resources, single).Run(batch_jobs);
     std::vector<FannResult> par =

@@ -154,11 +154,13 @@ std::vector<std::string> RunDynamicUpdateChecks(
   CachedSsspEngine cached_engine(graph, cache);
 
   // Persistent batch engines (cached-SSSP oracle, shared cache each).
+  // The caches hold four entries, so they stay full across waves and
+  // mix rows bounded by Q with full ones.
   std::vector<std::unique_ptr<BatchQueryEngine>> batch_engines;
   for (size_t threads : options.batch_thread_counts) {
     BatchOptions bo;
     bo.num_threads = threads;
-    bo.cache_capacity = 128;
+    bo.cache_capacity = 4;
     batch_engines.push_back(
         std::make_unique<BatchQueryEngine>(resources, bo));
   }
@@ -215,7 +217,8 @@ std::vector<std::string> RunDynamicUpdateChecks(
       }
     }
 
-    for (VertexId p : SsspKernelMismatches(kernel_search, scenario.p)) {
+    for (VertexId p : SsspKernelMismatches(kernel_search, scenario.p,
+                                              scenario.q)) {
       report.Add(wave_label + ": SsspInto row from p=" + std::to_string(p) +
                  " differs bitwise from DijkstraSssp");
     }

@@ -51,17 +51,26 @@ std::vector<OracleEntry> OracleRanking(const Graph& graph,
 }
 
 std::vector<VertexId> SsspKernelMismatches(
-    DijkstraSearch& search, const std::vector<VertexId>& sources) {
+    DijkstraSearch& search, const std::vector<VertexId>& sources,
+    const std::vector<VertexId>& targets) {
   std::vector<VertexId> mismatched;
   std::vector<Weight> row;
+  const auto same_bits = [](Weight a, Weight b) {
+    return std::memcmp(&a, &b, sizeof(Weight)) == 0;
+  };
   for (VertexId source : sources) {
-    search.SsspInto(source, row);
     const std::vector<Weight> want = DijkstraSssp(search.graph(), source);
-    if (row.size() != want.size() ||
-        std::memcmp(row.data(), want.data(), want.size() * sizeof(Weight)) !=
-            0) {
-      mismatched.push_back(source);
+    search.SsspInto(source, row);
+    bool ok = row.size() == want.size() &&
+              std::memcmp(row.data(), want.data(),
+                          want.size() * sizeof(Weight)) == 0;
+    const Weight radius = search.SsspInto(source, targets, row);
+    ok = ok && row.size() == want.size();
+    for (VertexId t : targets) ok = ok && want[t] <= radius;
+    for (size_t v = 0; ok && v < want.size(); ++v) {
+      ok = want[v] <= radius ? same_bits(row[v], want[v]) : row[v] > radius;
     }
+    if (!ok) mismatched.push_back(source);
   }
   return mismatched;
 }

@@ -45,13 +45,18 @@ std::vector<OracleEntry> OracleRanking(const Graph& graph,
                                        const std::vector<VertexId>& q,
                                        double phi, Aggregate aggregate);
 
-/// The members of `sources` whose DijkstraSearch::SsspInto row (run on
-/// `search`, reused across sources) differs in any bit from the
-/// heap-based DijkstraSssp reference. The solver checks compare
-/// distances with a 1e-9 relative tolerance, which cannot see last-ulp
-/// drift in the cache's miss-path kernel; this check can.
+/// The members of `sources` whose DijkstraSearch::SsspInto rows (run on
+/// `search`, reused across sources) disagree in any bit with the
+/// heap-based DijkstraSssp reference. Two rows per source: the full row
+/// must equal the reference; the row bounded by `targets` must serve
+/// every target (reference distance <= its radius), equal the reference
+/// on every vertex within the radius and exceed the radius everywhere
+/// else. The solver checks compare distances with a 1e-9 relative
+/// tolerance, which cannot see last-ulp drift in the cache's miss-path
+/// kernel; this check can.
 std::vector<VertexId> SsspKernelMismatches(
-    DijkstraSearch& search, const std::vector<VertexId>& sources);
+    DijkstraSearch& search, const std::vector<VertexId>& sources,
+    const std::vector<VertexId>& targets);
 
 }  // namespace fannr::testing
 

@@ -4,6 +4,7 @@
 
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <string>
 
 #include "graph/builder.h"
@@ -164,12 +165,16 @@ bool RingFits(const Graph& g) {
          std::bit_ceil(static_cast<uint64_t>(span)) <= g.NumVertices();
 }
 
+// Checks the full row and, bounded by three of the sources, the
+// bounded row of every source.
 void ExpectRowsBitwiseEqual(DijkstraSearch& search,
                             const std::vector<VertexId>& sources,
                             const std::string& label) {
-  EXPECT_EQ(testing::SsspKernelMismatches(search, sources),
+  const std::vector<VertexId> targets = {
+      sources.front(), sources[sources.size() / 2], sources.back()};
+  EXPECT_EQ(testing::SsspKernelMismatches(search, sources, targets),
             std::vector<VertexId>{})
-      << label << ": sources whose row differs";
+      << label << ": sources whose rows differ";
 }
 
 std::vector<VertexId> AllVertices(const Graph& g) {
@@ -318,6 +323,176 @@ TEST(SsspIntoTest, BitwiseAcrossWeightUpdatesBetweenRingAndHeap) {
   apply(9, 10, 0.6);  // lowers w_min on the ring: a narrower width
   ASSERT_TRUE(RingFits(g));
   ExpectRowsBitwiseEqual(search, sources, "w_min lowered (ring)");
+}
+
+// --- The bounded SsspInto, against the heap reference ------------------
+// A bounded row must serve every target, hold DijkstraSssp's bits on
+// every vertex within its radius and exceed the radius everywhere else
+// (testing::SsspKernelMismatches checks exactly that, next to the full
+// row); these tests add the shapes that row is most likely to get wrong.
+
+// Radius of the bounded search, checked against the reference; returns
+// kInfWeight-or-not so callers can assert whether the search stopped.
+Weight ExpectBoundedRowServes(DijkstraSearch& search, VertexId source,
+                              const std::vector<VertexId>& targets) {
+  const std::vector<Weight> want = DijkstraSssp(search.graph(), source);
+  std::vector<Weight> row;
+  const Weight radius = search.SsspInto(source, targets, row);
+  EXPECT_EQ(row.size(), want.size());
+  for (VertexId t : targets) {
+    EXPECT_LE(want[t], radius) << "target " << t << " not served";
+  }
+  size_t wrong = 0;
+  for (size_t v = 0; v < want.size() && v < row.size(); ++v) {
+    const bool ok = want[v] <= radius
+                        ? std::memcmp(&row[v], &want[v], sizeof(Weight)) == 0
+                        : row[v] > radius;
+    wrong += ok ? 0 : 1;
+  }
+  EXPECT_EQ(wrong, 0u) << "source " << source << ", radius " << radius;
+  return radius;
+}
+
+TEST(SsspIntoBoundedTest, ServesTargetsOnTestPresetAndRandomNetworks) {
+  const Graph preset = BuildPreset("TEST");
+  DijkstraSearch preset_search(preset);
+  Rng rng(77);
+  size_t stopped_early = 0;
+  for (size_t q_size : {1u, 4u, 16u}) {
+    for (int i = 0; i < 12; ++i) {
+      const VertexId source =
+          static_cast<VertexId>(rng.NextIndex(preset.NumVertices()));
+      const auto targets = testing::SampleVertices(preset, q_size, rng);
+      if (ExpectBoundedRowServes(preset_search, source, targets) !=
+          kInfWeight) {
+        ++stopped_early;
+      }
+    }
+  }
+  // The point of the bounded form: most of these stop before the end.
+  EXPECT_GT(stopped_early, 18u);
+  for (uint64_t seed : {7u, 8u, 9u}) {
+    const Graph g = testing::MakeRandomNetwork(400, seed);
+    DijkstraSearch search(g);
+    const auto sources = testing::SampleVertices(g, 20, rng);
+    const auto targets = testing::SampleVertices(g, 5, rng);
+    EXPECT_EQ(testing::SsspKernelMismatches(search, sources, targets),
+              std::vector<VertexId>{})
+        << "random network seed " << seed;
+  }
+}
+
+TEST(SsspIntoBoundedTest, IntegerTiesAndSubUlpWeights) {
+  // Unit weights put whole plateaus of equal distance on the radius.
+  const Graph ties = MakeWeightedGrid(12, 12, [] { return 1.0; });
+  ASSERT_TRUE(RingFits(ties));
+  DijkstraSearch tie_search(ties);
+  for (VertexId source : {0u, 66u, 143u}) {
+    for (VertexId target : AllVertices(ties)) {
+      ExpectBoundedRowServes(tie_search, source, {target});
+    }
+  }
+  // Past 2^60 a unit edge is absorbed, so a target shares its distance
+  // with a whole stretch of the ring (the heap side).
+  GraphBuilder builder(40);
+  builder.AddEdge(0, 1, std::ldexp(1.0, 60));
+  for (VertexId v = 1; v < 39; ++v) builder.AddEdge(v, v + 1, 1.0);
+  builder.AddEdge(39, 1, 3.0);
+  builder.AddEdge(0, 20, std::ldexp(1.0, 60) + 512.0);
+  const Graph sub_ulp = builder.Build();
+  ASSERT_FALSE(RingFits(sub_ulp));
+  DijkstraSearch sub_ulp_search(sub_ulp);
+  for (VertexId source : AllVertices(sub_ulp)) {
+    for (VertexId target : {0u, 1u, 5u, 20u, 39u}) {
+      ExpectBoundedRowServes(sub_ulp_search, source, {target});
+    }
+  }
+}
+
+TEST(SsspIntoBoundedTest, DuplicateTargetsAndTheSourceAsATarget) {
+  const Graph g = testing::MakeRandomNetwork(300, 31);
+  DijkstraSearch search(g);
+  Rng rng(3);
+  for (int i = 0; i < 20; ++i) {
+    const VertexId s = static_cast<VertexId>(rng.NextIndex(g.NumVertices()));
+    const VertexId t = static_cast<VertexId>(rng.NextIndex(g.NumVertices()));
+    // The source alone settles in the first bucket: a tiny radius.
+    EXPECT_LT(ExpectBoundedRowServes(search, s, {s}), kInfWeight);
+    ExpectBoundedRowServes(search, s, {s, s});
+    ExpectBoundedRowServes(search, s, {t, t, s, t});
+  }
+}
+
+TEST(SsspIntoBoundedTest, UnreachableTargetGivesTheFullRow) {
+  // Two components; vertex 30 has no arcs.
+  GraphBuilder builder(31);
+  Rng rng(9);
+  for (VertexId v = 0; v + 1 < 15; ++v) {
+    builder.AddEdge(v, v + 1, rng.NextDouble(1.0, 2.0));
+    builder.AddEdge(15 + v, 16 + v, rng.NextDouble(1.0, 2.0));
+  }
+  const Graph g = builder.Build();
+  ASSERT_TRUE(RingFits(g));
+  DijkstraSearch search(g);
+  for (const std::vector<VertexId>& targets :
+       {std::vector<VertexId>{20}, std::vector<VertexId>{1, 30},
+        std::vector<VertexId>{2, 20, 3}}) {
+    std::vector<Weight> row;
+    EXPECT_EQ(search.SsspInto(0, targets, row), kInfWeight);
+    const std::vector<Weight> want = DijkstraSssp(g, 0);
+    ASSERT_EQ(row.size(), want.size());
+    EXPECT_EQ(std::memcmp(row.data(), want.data(),
+                          want.size() * sizeof(Weight)),
+              0);
+  }
+}
+
+TEST(SsspIntoBoundedTest, HeapSideStopsEarlyAndServesTargets) {
+  Rng rng(23);
+  const Graph wide = MakeWeightedGrid(10, 10, [&rng] {
+    return std::pow(10.0, rng.NextDouble(0.0, 12.0));
+  });
+  ASSERT_FALSE(RingFits(wide));
+  DijkstraSearch search(wide);
+  size_t stopped_early = 0;
+  for (VertexId source : AllVertices(wide)) {
+    const auto targets = testing::SampleVertices(wide, 3, rng);
+    if (ExpectBoundedRowServes(search, source, targets) != kInfWeight) {
+      ++stopped_early;
+    }
+  }
+  EXPECT_GT(stopped_early, 50u);
+}
+
+TEST(SsspIntoBoundedTest, WeightUpdateBetweenSearchesOnOneObject) {
+  // A bounded search leaves entries queued; the next search on the same
+  // object, full or bounded, at the same epoch or after an update that
+  // reshapes the ring or switches to the heap, must not see them.
+  Rng rng(41);
+  Graph g = MakeWeightedGrid(8, 8, [&rng] { return rng.NextDouble(1.0, 2.0); });
+  DijkstraSearch search(g);
+  const auto apply = [&g](VertexId u, VertexId v, Weight w) {
+    const EdgeWeightUpdate update{u, v, w};
+    ASSERT_EQ(g.ApplyWeightUpdates({&update, 1}).applied, 1u);
+  };
+  const auto check_epoch = [&](const std::string& label) {
+    for (VertexId s : AllVertices(g)) {
+      ExpectBoundedRowServes(search, s, {static_cast<VertexId>((s + 9) % 64)});
+      ExpectRowsBitwiseEqual(search, {s}, label);
+    }
+  };
+  ASSERT_TRUE(RingFits(g));
+  check_epoch("epoch 0 (ring)");
+  apply(0, 1, 1e-9);  // the heap
+  ASSERT_FALSE(RingFits(g));
+  check_epoch("w_min lowered (heap)");
+  apply(0, 1, 1.5);  // back onto the ring
+  check_epoch("w_min restored (ring)");
+  apply(9, 10, 20.0);  // a wider ring
+  ASSERT_TRUE(RingFits(g));
+  check_epoch("w_max widened (ring)");
+  apply(9, 10, 0.6);  // a narrower width
+  check_epoch("w_min lowered (ring)");
 }
 
 }  // namespace
