@@ -3,7 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
+#include <type_traits>
 
 #include "common/timer.h"
 
@@ -45,60 +45,48 @@ Env Env::Load(const EnvNeeds& needs) {
   const std::string cache_dir = EnvOr("FANNR_CACHE", ".fannr_cache");
   std::filesystem::create_directories(cache_dir);
 
+  // Every cache file is opened by mmap and never copied; a file from
+  // another format version, another graph, or a corrupt one fails
+  // LoadMmap and is rebuilt and saved over in place.
   Timer t;
   const std::string graph_cache =
       CachePath(cache_dir, env.dataset_, "graph");
-  {
-    std::ifstream in(graph_cache, std::ios::binary);
-    if (in) {
-      auto loaded = Graph::Load(in);
-      if (loaded.has_value()) {
-        env.graph_ = std::make_unique<Graph>(std::move(*loaded));
-      }
-    }
-  }
-  if (env.graph_ == nullptr) {
+  const char* graph_source = "loaded from cache";
+  if (auto loaded = Graph::LoadMmap(graph_cache)) {
+    env.graph_ = std::make_unique<Graph>(std::move(*loaded));
+  } else {
     env.graph_ = std::make_unique<Graph>(BuildPreset(env.dataset_));
-    std::ofstream out(graph_cache, std::ios::binary);
-    if (out) env.graph_->Save(out);
+    graph_source = env.graph_->Save(graph_cache) ? "built and cached"
+                                                 : "built";
   }
-  std::fprintf(stderr, "[env] dataset %s: %zu vertices, %zu edges (%.1fs)\n",
+  std::fprintf(stderr,
+               "[env] dataset %s: %zu vertices, %zu edges, %s (%.1fs)\n",
                env.dataset_.c_str(), env.graph_->NumVertices(),
-               env.graph_->NumEdges(), t.Seconds());
+               env.graph_->NumEdges(), graph_source, t.Seconds());
 
-  auto load_or_build = [&](const std::string& kind, auto load_fn,
-                           auto build_fn, auto save_fn, auto& slot) {
+  const Graph& graph = *env.graph_;
+  auto load_or_build = [&](const std::string& kind, auto build_fn,
+                           auto& slot) {
+    using Index = typename std::remove_reference_t<decltype(slot)>::value_type;
     const std::string path = CachePath(cache_dir, env.dataset_, kind);
-    {
-      std::ifstream in(path, std::ios::binary);
-      if (in) {
-        slot = load_fn(in);
-        if (slot.has_value()) {
-          std::fprintf(stderr, "[env] %s loaded from cache\n", kind.c_str());
-          return;
-        }
-      }
+    slot = Index::LoadMmap(graph, path);
+    if (slot.has_value()) {
+      std::fprintf(stderr, "[env] %s loaded from cache\n", kind.c_str());
+      return;
     }
     Timer build_timer;
     slot = build_fn();
     std::fprintf(stderr, "[env] %s built in %.1fs\n", kind.c_str(),
                  build_timer.Seconds());
-    if (slot.has_value()) {
-      std::ofstream out(path, std::ios::binary);
-      if (out && save_fn(*slot, out)) {
-        std::fprintf(stderr, "[env] %s cached to %s\n", kind.c_str(),
-                     path.c_str());
-      }
+    if (slot.has_value() && slot->Save(path)) {
+      std::fprintf(stderr, "[env] %s cached to %s\n", kind.c_str(),
+                   path.c_str());
     }
   };
 
   if (needs.labels) {
     load_or_build(
-        "phl",
-        [&](std::istream& in) { return HubLabels::Load(*env.graph_, in); },
-        [&] { return HubLabels::Build(*env.graph_); },
-        [](const HubLabels& l, std::ostream& out) { return l.Save(out); },
-        env.labels_);
+        "phl", [&] { return HubLabels::Build(graph); }, env.labels_);
     FANNR_CHECK(env.labels_.has_value());
   }
   if (needs.gtree) {
@@ -106,26 +94,16 @@ Env Env::Load(const EnvNeeds& needs) {
     options.leaf_capacity = LeafCapacityFor(env.dataset_);
     load_or_build(
         "gtree",
-        [&](std::istream& in) { return GTree::Load(*env.graph_, in); },
-        [&] {
-          return std::optional<GTree>(GTree::Build(*env.graph_, options));
-        },
-        [](const GTree& g, std::ostream& out) { return g.Save(out); },
+        [&] { return std::optional<GTree>(GTree::Build(graph, options)); },
         env.gtree_);
     FANNR_CHECK(env.gtree_.has_value());
   }
   if (needs.ch) {
     load_or_build(
         "ch",
-        [&](std::istream& in) {
-          return ContractionHierarchy::Load(*env.graph_, in);
-        },
         [&] {
           return std::optional<ContractionHierarchy>(
-              ContractionHierarchy::Build(*env.graph_));
-        },
-        [](const ContractionHierarchy& c, std::ostream& out) {
-          return c.Save(out);
+              ContractionHierarchy::Build(graph));
         },
         env.ch_);
     FANNR_CHECK(env.ch_.has_value());

@@ -4,8 +4,8 @@
 // DESIGN.md §3 and EXPERIMENTS.md). All binaries share:
 //   * the environment (dataset, query count, per-cell time budget) read
 //     from env vars,
-//   * an on-disk index cache so hub labels / G-tree / CH are built once
-//     per dataset,
+//   * an on-disk cache of mmap-opened files (graph/index_io.h) so the
+//     graph and hub labels / G-tree / CH are built once per dataset,
 //   * instance generation with fixed seeds so every algorithm sees the
 //     same workloads,
 //   * a cell timer with a budget so the slow configurations (the paper's

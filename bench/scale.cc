@@ -1,17 +1,19 @@
 // Continent-scale suite: how build, index, load, and query costs scale
-// with |V|, and whether the mmap (v3 arena) load path actually delivers
-// its reason for existing — opening a prebuilt index in time proportional
-// to a structural scan instead of a full deserialize.
+// with |V|, and whether the mmap load path actually delivers its reason
+// for existing — opening a prebuilt index in time proportional to a
+// structural scan instead of a read of every byte.
 //
 // For every |V| on the ladder the bench measures
 //   * synthetic network generation time (the stand-in for "build"),
 //   * DIMACS parse time, sequential vs chunk-parallel, with a
 //     fingerprint check proving the two parses agree,
-//   * graph cache write/load: v2 stream Save/Load vs v3 SaveV3/LoadMmap,
-//     including file sizes and the v2/v3 load-time ratio (mmap_speedup),
+//   * graph cache write/load: Save, then LoadMmap under kFull (reads and
+//     checksums every payload byte — the reference) and under the
+//     default kHeaderOnly, with the file size and the full/header-only
+//     load-time ratio (mmap_speedup),
 //   * G-tree build (leaf capacity scaled with |V|, as in the paper) +
-//     v2-vs-v3 index load on the sizes below the index gate (the 10^6
-//     index build is the nightly/local job, not a CI smoke; the CI
+//     the same save/load pair on the sizes below the index gate (the
+//     10^6 index build is the nightly/local job, not a CI smoke; the CI
 //     default covers 10^4 and 10^5), and
 //   * GD query latency through the batch engine at 1 and 8 threads, run
 //     twice — on the in-memory substrate and on the mmap-loaded one —
@@ -58,9 +60,9 @@ struct GtreeCell {
   bool built = false;
   size_t leaf_capacity = 0;
   double build_ms = 0.0;
-  uint64_t v2_bytes = 0;
   uint64_t v3_bytes = 0;
-  double v2_load_ms = 0.0;
+  double v3_save_ms = 0.0;
+  double v3_full_load_ms = 0.0;
   double v3_mmap_load_ms = 0.0;
   double mmap_speedup = 0.0;
   // GD-over-G-tree latency and the mmap-index differential at T=1/T=8.
@@ -79,12 +81,10 @@ struct ScaleCell {
   double parse_par_ms = 0.0;
   double parse_speedup = 0.0;
   bool parallel_load_identical = false;
-  // Graph cache files.
-  uint64_t v2_bytes = 0;
+  // Graph cache file.
   uint64_t v3_bytes = 0;
-  double v2_save_ms = 0.0;
   double v3_save_ms = 0.0;
-  double v2_load_ms = 0.0;
+  double v3_full_load_ms = 0.0;
   double v3_mmap_load_ms = 0.0;
   double mmap_speedup = 0.0;
   GtreeCell gtree;
@@ -211,33 +211,23 @@ ScaleCell RunCell(size_t target, size_t index_max_v, size_t num_queries,
   std::remove(gr.c_str());
   std::remove(co.c_str());
 
-  // 3. Graph cache: v2 stream vs v3 arena. The loads are cold-ish (fresh
-  // process state dominates CI anyway); what matters is the ratio.
-  const std::string v2_path =
-      tmp_dir + "/scale_" + std::to_string(target) + ".v2";
+  // 3. Graph cache: a kFull load (every payload byte read) against the
+  // default header-only mmap load of the same file. What matters is the
+  // ratio.
   const std::string v3_path =
       tmp_dir + "/scale_" + std::to_string(target) + ".v3";
   {
     Timer t;
-    std::ofstream out(v2_path, std::ios::binary);
-    FANNR_CHECK(graph.Save(out));
-    out.close();
-    cell.v2_save_ms = t.Millis();
-  }
-  {
-    Timer t;
-    FANNR_CHECK(graph.SaveV3(v3_path));
+    FANNR_CHECK(graph.Save(v3_path));
     cell.v3_save_ms = t.Millis();
   }
-  cell.v2_bytes = FileBytes(v2_path);
   cell.v3_bytes = FileBytes(v3_path);
   {
     Timer t;
-    std::ifstream in(v2_path, std::ios::binary);
-    auto loaded = Graph::Load(in);
-    cell.v2_load_ms = t.Millis();
-    FANNR_CHECK(loaded.has_value());
-    FANNR_CHECK(loaded->Fingerprint() == graph.Fingerprint());
+    auto full = Graph::LoadMmap(v3_path, ArenaValidation::kFull);
+    cell.v3_full_load_ms = t.Millis();
+    FANNR_CHECK(full.has_value());
+    FANNR_CHECK(full->Fingerprint() == graph.Fingerprint());
   }
   std::optional<Graph> mapped;
   {
@@ -247,8 +237,7 @@ ScaleCell RunCell(size_t target, size_t index_max_v, size_t num_queries,
     FANNR_CHECK(mapped.has_value());
     FANNR_CHECK(mapped->Fingerprint() == graph.Fingerprint());
   }
-  cell.mmap_speedup = cell.v2_load_ms / cell.v3_mmap_load_ms;
-  std::remove(v2_path.c_str());
+  cell.mmap_speedup = cell.v3_full_load_ms / cell.v3_mmap_load_ms;
 
   // 4. Query workload, shared by the graph and index differentials.
   Rng qrng(0xD15Cu + target);
@@ -272,7 +261,7 @@ ScaleCell RunCell(size_t target, size_t index_max_v, size_t num_queries,
                          SameAnswers(mem1.results, mem8.results);
   std::remove(v3_path.c_str());
 
-  // 6. G-tree index: build, v2-vs-v3 load, and the differential the
+  // 6. G-tree index: build, full-vs-mmap load, and the differential the
   // acceptance bar is actually about — answers through the mmap-loaded
   // *index* against the built-in-memory one. Sizes above the gate leave
   // this to the nightly run (FANNR_SCALE_INDEX_MAX_V=1000000 there).
@@ -285,20 +274,18 @@ ScaleCell RunCell(size_t target, size_t index_max_v, size_t num_queries,
     GTree tree = GTree::Build(graph, options, &pool);
     cell.gtree.build_ms = build_timer.Millis();
 
-    const std::string g2 = tmp_dir + "/scale_gtree.v2";
     const std::string g3 = tmp_dir + "/scale_gtree.v3";
     {
-      std::ofstream out(g2, std::ios::binary);
-      FANNR_CHECK(tree.Save(out));
+      Timer t;
+      FANNR_CHECK(tree.Save(g3));
+      cell.gtree.v3_save_ms = t.Millis();
     }
-    FANNR_CHECK(tree.SaveV3(g3));
-    cell.gtree.v2_bytes = FileBytes(g2);
     cell.gtree.v3_bytes = FileBytes(g3);
     {
       Timer t;
-      std::ifstream in(g2, std::ios::binary);
-      FANNR_CHECK(GTree::Load(graph, in).has_value());
-      cell.gtree.v2_load_ms = t.Millis();
+      FANNR_CHECK(
+          GTree::LoadMmap(graph, g3, ArenaValidation::kFull).has_value());
+      cell.gtree.v3_full_load_ms = t.Millis();
     }
     std::optional<GTree> mapped_tree;
     {
@@ -308,7 +295,7 @@ ScaleCell RunCell(size_t target, size_t index_max_v, size_t num_queries,
       FANNR_CHECK(mapped_tree.has_value());
     }
     cell.gtree.mmap_speedup =
-        cell.gtree.v2_load_ms / cell.gtree.v3_mmap_load_ms;
+        cell.gtree.v3_full_load_ms / cell.gtree.v3_mmap_load_ms;
 
     const QueryRun tmem1 = RunQueries(graph, p, q, num_queries, 1, &tree);
     const QueryRun tmem8 = RunQueries(graph, p, q, num_queries, 8, &tree);
@@ -322,7 +309,6 @@ ScaleCell RunCell(size_t target, size_t index_max_v, size_t num_queries,
                                  SameAnswers(tmem8.results, tmap8.results) &&
                                  SameAnswers(tmem1.results, tmem8.results);
     mapped_tree.reset();
-    std::remove(g2.c_str());
     std::remove(g3.c_str());
   }
   return cell;
@@ -333,9 +319,10 @@ std::string JsonGtree(const GtreeCell& g) {
   out << "{\"built\": " << (g.built ? "true" : "false");
   if (g.built) {
     out << ", \"leaf_capacity\": " << g.leaf_capacity
-        << ", \"build_ms\": " << g.build_ms << ", \"v2_bytes\": " << g.v2_bytes
+        << ", \"build_ms\": " << g.build_ms
         << ", \"v3_bytes\": " << g.v3_bytes
-        << ", \"v2_load_ms\": " << g.v2_load_ms
+        << ", \"v3_save_ms\": " << g.v3_save_ms
+        << ", \"v3_full_load_ms\": " << g.v3_full_load_ms
         << ", \"v3_mmap_load_ms\": " << g.v3_mmap_load_ms
         << ", \"mmap_speedup\": " << g.mmap_speedup
         << ", \"query_mean_ms_t1\": " << g.query_mean_ms_t1
@@ -367,7 +354,7 @@ int Main() {
   std::printf(", %zu pool workers, %zu queries/cell\n", pool.num_workers(),
               num_queries);
   std::printf("%10s %10s %10s %10s %9s %10s %10s %9s %11s %8s\n", "|V|",
-              "gen ms", "parse seq", "parse par", "par=seq", "v2 load",
+              "gen ms", "parse seq", "parse par", "par=seq", "full load",
               "mmap load", "speedup", "idx speedup", "queries");
 
   std::vector<ScaleCell> cells;
@@ -381,7 +368,8 @@ int Main() {
     std::printf("%10zu %10.1f %10.1f %10.1f %9s %10.2f %10.2f %8.1fx %11s %7s\n",
                 cell.num_vertices, cell.gen_ms, cell.parse_seq_ms,
                 cell.parse_par_ms, cell.parallel_load_identical ? "yes" : "NO",
-                cell.v2_load_ms, cell.v3_mmap_load_ms, cell.mmap_speedup, idx,
+                cell.v3_full_load_ms, cell.v3_mmap_load_ms, cell.mmap_speedup,
+                idx,
                 cell.query_identical ? "same" : "DIFFER");
     all_identical &= cell.parallel_load_identical && cell.query_identical &&
                      (!cell.gtree.built || cell.gtree.query_identical);
@@ -402,11 +390,9 @@ int Main() {
         << ", \"parse_speedup\": " << c.parse_speedup
         << ", \"parallel_load_identical\": "
         << (c.parallel_load_identical ? "true" : "false")
-        << ",\n     \"graph\": {\"v2_bytes\": " << c.v2_bytes
-        << ", \"v3_bytes\": " << c.v3_bytes
-        << ", \"v2_save_ms\": " << c.v2_save_ms
+        << ",\n     \"graph\": {\"v3_bytes\": " << c.v3_bytes
         << ", \"v3_save_ms\": " << c.v3_save_ms
-        << ", \"v2_load_ms\": " << c.v2_load_ms
+        << ", \"v3_full_load_ms\": " << c.v3_full_load_ms
         << ", \"v3_mmap_load_ms\": " << c.v3_mmap_load_ms
         << ", \"mmap_speedup\": " << c.mmap_speedup << "}"
         << ",\n     \"gtree\": " << JsonGtree(c.gtree)

@@ -17,8 +17,9 @@
 //
 // Environment: FANNR_DATASET (default TEST), FANNR_THROUGHPUT_BATCH
 // (queries per batch, default 64), FANNR_THROUGHPUT_REPS (timed
-// repetitions per cell, default 3; the observability overhead always
-// runs kObsOverheadPairs pairs).
+// repetitions per cell, default 3; the engine-nocache ladder always
+// runs kLadderRounds rounds and the observability overhead always runs
+// kObsOverheadPairs pairs).
 
 #include <algorithm>
 #include <cstdint>
@@ -144,46 +145,91 @@ ObsOverhead MeasureObsOverhead(const GphiResources& resources,
   return overhead;
 }
 
-Cell TimeConfig(const std::string& label, const GphiResources& resources,
-                const std::vector<FannrQuery>& jobs, size_t threads,
-                bool cached, size_t reps, bool observed = false,
-                BatchSchedule schedule = BatchSchedule::kDynamic) {
-  BatchOptions options;
-  options.num_threads = threads;
-  options.share_distance_cache = cached;
-  options.cache_capacity = 4096;
-  options.enable_metrics = observed;
-  options.schedule = schedule;
-
+Cell MakeCell(const std::string& label, size_t threads, bool cached,
+              bool observed = false) {
   Cell cell;
   cell.label = label;
   cell.threads = threads;
   cell.cached = cached;
   cell.observed = observed;
-  double total_ms = 0.0;
-  size_t runs = 0;
-  for (size_t rep = 0; rep < reps; ++rep) {
-    // Fresh engine per repetition: each timed run starts with a cold
-    // cache, so cached cells measure within-batch reuse, not leftover
-    // state from a previous repetition.
-    const uint64_t grows_start = FlatHeapAllocStats().grows;
-    BatchQueryEngine engine(resources, options);
-    const uint64_t grows_constructed = FlatHeapAllocStats().grows;
-    Timer t;
-    engine.Run(jobs);
-    total_ms += t.Millis();
-    ++runs;
-    cell.heap_grows_construct += grows_constructed - grows_start;
-    cell.heap_grows_solve += FlatHeapAllocStats().grows - grows_constructed;
-    const auto stats = engine.cache_stats();
-    cell.cache_hits = stats.hits;
-    cell.cache_misses = stats.misses;
-    if (observed) cell.report_json = engine.last_report().ToJson(2);
-  }
+  return cell;
+}
+
+// One timed run into `cell`; returns its wall time. Fresh engine per
+// run: each timed run starts with a cold cache, so cached cells measure
+// within-batch reuse, not leftover state from a previous repetition.
+double TimeRun(Cell& cell, const GphiResources& resources,
+               const std::vector<FannrQuery>& jobs,
+               BatchSchedule schedule = BatchSchedule::kDynamic) {
+  BatchOptions options;
+  options.num_threads = cell.threads;
+  options.share_distance_cache = cell.cached;
+  options.cache_capacity = 4096;
+  options.enable_metrics = cell.observed;
+  options.schedule = schedule;
+
+  const uint64_t grows_start = FlatHeapAllocStats().grows;
+  BatchQueryEngine engine(resources, options);
+  const uint64_t grows_constructed = FlatHeapAllocStats().grows;
+  Timer t;
+  engine.Run(jobs);
+  const double ms = t.Millis();
+  cell.heap_grows_construct += grows_constructed - grows_start;
+  cell.heap_grows_solve += FlatHeapAllocStats().grows - grows_constructed;
   cell.heap_grows = cell.heap_grows_construct + cell.heap_grows_solve;
-  cell.mean_ms = total_ms / static_cast<double>(runs);
+  const auto stats = engine.cache_stats();
+  cell.cache_hits = stats.hits;
+  cell.cache_misses = stats.misses;
+  if (cell.observed) cell.report_json = engine.last_report().ToJson(2);
+  return ms;
+}
+
+Cell TimeConfig(const std::string& label, const GphiResources& resources,
+                const std::vector<FannrQuery>& jobs, size_t threads,
+                bool cached, size_t reps, bool observed = false,
+                BatchSchedule schedule = BatchSchedule::kDynamic) {
+  Cell cell = MakeCell(label, threads, cached, observed);
+  double total_ms = 0.0;
+  for (size_t rep = 0; rep < reps; ++rep) {
+    total_ms += TimeRun(cell, resources, jobs, schedule);
+  }
+  cell.mean_ms = total_ms / static_cast<double>(reps);
   cell.qps = 1000.0 * static_cast<double>(jobs.size()) / cell.mean_ms;
   return cell;
+}
+
+// The engine-nocache ladder, timed in fixed interleaved rounds: each
+// round visits every thread count once, in ascending order on even
+// rounds and descending on odd ones, so every step of the ladder sees
+// the same ambient load and no thread count always runs first. Each
+// cell reports its median run as qps (mean_ms stays the mean). The
+// round count is fixed rather than taken from FANNR_THROUGHPUT_REPS: a
+// cell is one 64-query batch of 30-300 ms, and on a shared 4-vCPU host
+// a single run moves a step by more than the gate's 10%.
+constexpr size_t kLadderRounds = 9;
+
+std::vector<Cell> TimeNocacheLadder(const GphiResources& resources,
+                                    const std::vector<FannrQuery>& jobs,
+                                    const std::vector<size_t>& threads) {
+  std::vector<Cell> cells;
+  for (size_t t : threads) {
+    cells.push_back(MakeCell("engine-nocache", t, /*cached=*/false));
+  }
+  std::vector<std::vector<double>> run_ms(cells.size());
+  for (size_t round = 0; round < kLadderRounds; ++round) {
+    for (size_t step = 0; step < cells.size(); ++step) {
+      const size_t i = round % 2 == 0 ? step : cells.size() - 1 - step;
+      run_ms[i].push_back(TimeRun(cells[i], resources, jobs));
+    }
+  }
+  for (size_t i = 0; i < cells.size(); ++i) {
+    double total_ms = 0.0;
+    for (double ms : run_ms[i]) total_ms += ms;
+    cells[i].mean_ms = total_ms / static_cast<double>(kLadderRounds);
+    cells[i].qps = 1000.0 * static_cast<double>(jobs.size()) /
+                   Median(std::move(run_ms[i]));
+  }
+  return cells;
 }
 
 int Main() {
@@ -214,9 +260,9 @@ int Main() {
   // gate: scripts/check_throughput_json.py requires each step's qps to
   // stay >= 0.9x the previous step's, so a scaling collapse (lock or
   // allocator contention, false sharing) fails CI instead of shipping.
-  for (size_t threads : thread_counts) {
-    cells.push_back(TimeConfig("engine-nocache", resources, workload.jobs,
-                               threads, /*cached=*/false, reps));
+  for (Cell& cell :
+       TimeNocacheLadder(resources, workload.jobs, thread_counts)) {
+    cells.push_back(std::move(cell));
   }
   for (size_t threads : thread_counts) {
     cells.push_back(TimeConfig("engine-cached", resources, workload.jobs,

@@ -38,7 +38,9 @@ REQUIRED_CELL = [
 ]
 
 # Thread-scaling gate: each engine-nocache step may lose at most 10% qps
-# vs the previous thread count. On a single-core host the curve is flat
+# vs the previous thread count. Each cell's qps is the median of the
+# bench's fixed interleaved rounds over the whole ladder, so every step
+# is compared under the same ambient load. On a single-core host the curve is flat
 # (so this passes trivially); on multicore it catches a scaling collapse
 # from lock/allocator contention or false sharing. The 0.9 floor leaves
 # room for benchmark noise without letting a real regression through.

@@ -3,7 +3,9 @@
 # harness, and leave test_output.txt / bench_output.txt in the repo root.
 #
 # Defaults run the laptop-scale TEST preset; pass a dataset name to scale
-# up (indexes are cached per dataset under .fannr_cache/):
+# up (the graph and its indexes are cached per dataset under
+# .fannr_cache/ and opened by mmap; a file from an older format or an
+# updated graph is rebuilt and overwritten in place):
 #
 #   scripts/reproduce.sh          # TEST (minutes)
 #   scripts/reproduce.sh DE       # Delaware scale (longer; see EXPERIMENTS.md)

@@ -3,16 +3,16 @@
 //
 // Every index in this codebase (CSR graph, hub labels, G-tree, CH)
 // stores its payload as flat POD arrays. Build paths fill them as
-// vectors; the format-v3 mmap load path (graph/index_io.h) wants to
-// point the same members straight into the file mapping without
-// copying. Column is that one abstraction: read access (data / size /
-// operator[] / iteration) is identical in both states and costs one
-// predictable branch on a member bool; mutation through vec() is
-// reserved for build/load-into-memory paths and aborts on a borrowed
-// column. Element-level writes through data()/operator[] ARE allowed on
-// borrowed columns — the mapping is MAP_PRIVATE copy-on-write (see
-// common/mmap_file.h), so e.g. live weight updates against an
-// mmap-loaded graph mutate anonymous page copies, never the file.
+// vectors; the mmap load path (graph/index_io.h) wants to point the
+// same members straight into the file mapping without copying. Column
+// is that one abstraction: read access (data / size / operator[] /
+// iteration) is identical in both states and costs one predictable
+// branch on a member bool; mutation through vec() is reserved for build
+// paths and aborts on a borrowed column. Element-level writes through
+// data()/operator[] ARE allowed on borrowed columns — the mapping is
+// MAP_PRIVATE copy-on-write (see common/mmap_file.h), so e.g. live
+// weight updates against an mmap-loaded graph mutate anonymous page
+// copies, never the file.
 //
 // A borrowed column does NOT own its bytes: whoever created the span
 // (the index object holding the MmapFile) must keep the mapping alive
@@ -73,9 +73,9 @@ class Column {
   const T* begin() const { return data(); }
   const T* end() const { return data() + size(); }
 
-  /// The backing vector, for build/deserialize paths that resize,
-  /// push_back, or move it. Aborts on a borrowed column: structural
-  /// mutation of an mmap view is a programming error.
+  /// The backing vector, for build paths that resize, push_back, or
+  /// move it. Aborts on a borrowed column: structural mutation of an
+  /// mmap view is a programming error.
   std::vector<T>& vec() {
     FANNR_CHECK(!borrowed_);
     return vec_;

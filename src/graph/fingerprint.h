@@ -14,7 +14,7 @@ namespace fannr {
 /// graphs with equal fingerprints hold the same weighted edge set with
 /// overwhelming probability; a single weight update changes the
 /// checksum. Persisted index files store the fingerprint of the graph
-/// they were built against so Load can reject files saved against a
+/// they were built against so LoadMmap can reject files saved against a
 /// different (or since-updated) network instead of serving wrong
 /// distances.
 struct GraphFingerprint {

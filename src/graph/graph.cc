@@ -5,8 +5,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "common/serialize.h"
-
 namespace fannr {
 
 namespace internal_graph {
@@ -163,28 +161,12 @@ void Graph::MakeEuclideanConsistent() {
 }
 
 namespace {
+
 constexpr uint64_t kGraphMagic = 0xFA22A81A62A9E004ULL;
-// Format history: v1 had no version field (magic straight into the offset
-// vector); v2 adds this version word. Old files are rejected, not misread
-// — their first vector-size word never equals a small version number.
-constexpr uint32_t kGraphFormatVersion = 2;
-}  // namespace
 
-bool Graph::Save(std::ostream& out) const {
-  BinaryWriter w(out);
-  w.Pod(kGraphMagic);
-  w.Pod(kGraphFormatVersion);
-  w.Span(offsets_.data(), offsets_.size());
-  w.Span(arcs_.data(), arcs_.size());
-  w.Span(coords_.data(), coords_.size());
-  return w.ok();
-}
-
-namespace {
-
-/// Shared structural validation for both load paths: offsets must be a
-/// monotone prefix array ending at the arc count, coordinates empty or
-/// per-vertex, targets in range with positive weights.
+/// Structural validation on load: offsets must be a monotone prefix
+/// array ending at the arc count, coordinates empty or per-vertex,
+/// targets in range with positive weights.
 bool ValidGraphStructure(const Column<size_t>& offsets,
                          const Column<Arc>& arcs,
                          const Column<Point>& coords) {
@@ -202,25 +184,7 @@ bool ValidGraphStructure(const Column<size_t>& offsets,
 
 }  // namespace
 
-std::optional<Graph> Graph::Load(std::istream& in) {
-  BinaryReader r(in);
-  uint64_t magic = 0;
-  uint32_t version = 0;
-  if (!r.Pod(magic) || magic != kGraphMagic) return std::nullopt;
-  if (!r.Pod(version) || version != kGraphFormatVersion) return std::nullopt;
-  Graph graph;
-  if (!r.Vec(graph.offsets_.vec()) || !r.Vec(graph.arcs_.vec()) ||
-      !r.Vec(graph.coords_.vec())) {
-    return std::nullopt;
-  }
-  if (!ValidGraphStructure(graph.offsets_, graph.arcs_, graph.coords_)) {
-    return std::nullopt;
-  }
-  graph.RecomputeWeightChecksum();
-  return graph;
-}
-
-bool Graph::SaveV3(const std::string& path) const {
+bool Graph::Save(const std::string& path) const {
   ArenaWriter writer;
   // Arc has 4 padding bytes after `to`; a field-wise copy into zeroed
   // storage makes the section bytes (and so the file and its checksum)
@@ -267,7 +231,7 @@ std::optional<Graph> Graph::LoadMmap(const std::string& path,
   }
   // Trust the stored weight checksum instead of recomputing it per-arc:
   // under kFull the arena checksum certifies the header and every
-  // payload byte, and a SaveV3 writer always stores the true value.
+  // payload byte, and Save always stores the true value.
   graph.weight_checksum_ = stored.weight_checksum;
   graph.arena_ = std::make_shared<ArenaFile>(std::move(*arena));
   return graph;

@@ -178,21 +178,14 @@ class Graph {
   /// Approximate heap memory used by the CSR arrays, in bytes.
   size_t MemoryBytes() const;
 
-  /// Serializes the CSR arrays (binary cache format; see
-  /// common/serialize.h). Much faster to reload than regenerating or
-  /// re-parsing DIMACS for large networks. Returns false on I/O failure.
-  bool Save(std::ostream& out) const;
+  /// Writes the arena cache file (graph/index_io.h): the CSR arrays as
+  /// 64-byte-aligned sections behind the shared header, with arc
+  /// padding bytes zeroed so the file is bit-deterministic. Much faster
+  /// to reload than regenerating or re-parsing DIMACS for large
+  /// networks. Returns false on I/O failure.
+  bool Save(const std::string& path) const;
 
-  /// Reloads a graph written by Save. Returns nullopt on corrupt input.
-  static std::optional<Graph> Load(std::istream& in);
-
-  /// Writes the arena (format v3, graph/index_io.h) cache file: the CSR
-  /// arrays as 64-byte-aligned sections behind the shared header, with
-  /// arc padding bytes zeroed so the file is bit-deterministic. Returns
-  /// false on I/O failure.
-  bool SaveV3(const std::string& path) const;
-
-  /// Opens a SaveV3 file by mmap: the returned graph's CSR arrays point
+  /// Opens a Save file by mmap: the returned graph's CSR arrays point
   /// into the (copy-on-write private) mapping, so load cost is the map
   /// plus one structural scan — no copy, no per-arc checksum. The weight
   /// checksum is taken from the stored fingerprint; kFull additionally
@@ -209,7 +202,7 @@ class Graph {
  private:
   Graph() = default;
 
-  /// Recomputes weight_checksum_ from scratch (construction and Load).
+  /// Recomputes weight_checksum_ from scratch (construction).
   void RecomputeWeightChecksum();
 
   Column<size_t> offsets_;  // size NumVertices() + 1

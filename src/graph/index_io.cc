@@ -1,5 +1,8 @@
 #include "graph/index_io.h"
 
+#include <unistd.h>
+
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 
@@ -32,29 +35,6 @@ T LoadPod(const std::byte* base, uint64_t offset) {
 }
 
 }  // namespace
-
-void WriteIndexHeader(BinaryWriter& writer, uint64_t magic,
-                      const GraphFingerprint& fingerprint) {
-  writer.Pod(magic);
-  writer.Pod(kIndexFormatVersion);
-  writer.Pod(fingerprint.vertices);
-  writer.Pod(fingerprint.edges);
-  writer.Pod(fingerprint.weight_checksum);
-}
-
-bool ReadIndexHeader(BinaryReader& reader, uint64_t magic,
-                     const GraphFingerprint& expected) {
-  uint64_t got_magic = 0;
-  uint32_t version = 0;
-  GraphFingerprint stored;
-  if (!reader.Pod(got_magic) || got_magic != magic) return false;
-  if (!reader.Pod(version) || version != kIndexFormatVersion) return false;
-  if (!reader.Pod(stored.vertices) || !reader.Pod(stored.edges) ||
-      !reader.Pod(stored.weight_checksum)) {
-    return false;
-  }
-  return stored == expected;
-}
 
 void ArenaChecksum::Absorb(const void* data, size_t bytes) {
   const unsigned char* p = static_cast<const unsigned char*>(data);
@@ -110,7 +90,8 @@ bool ArenaWriter::Write(const std::string& path, uint64_t magic,
   }
   const uint64_t file_bytes = cursor;
 
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  const std::string tmp_path = path + ".tmp." + std::to_string(getpid());
+  std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
   if (!out) return false;
 
   ArenaChecksum checksum;
@@ -156,8 +137,12 @@ bool ArenaWriter::Write(const std::string& path, uint64_t magic,
   const uint64_t final_checksum = checksum.Finish();
   out.seekp(48);
   out.write(reinterpret_cast<const char*>(&final_checksum), 8);
-  out.flush();
-  return static_cast<bool>(out);
+  out.close();
+  if (!out || std::rename(tmp_path.c_str(), path.c_str()) != 0) {
+    std::remove(tmp_path.c_str());
+    return false;
+  }
+  return true;
 }
 
 std::optional<ArenaFile> ArenaFile::Open(const std::string& path,
@@ -199,8 +184,8 @@ std::optional<ArenaFile> ArenaFile::Open(const std::string& path,
 
   if (validation == ArenaValidation::kFull) {
     // The checksum covers the table, the padding, and every section —
-    // everything past the header — so a kFull open certifies the same
-    // bytes a v2 read-everything load would have checked.
+    // everything past the header — so a kFull open certifies every
+    // byte the views can reach.
     if ((flags & kArenaFlagHasChecksum) == 0) return std::nullopt;
     ArenaChecksum checksum;
     checksum.Absorb(base + kArenaHeaderBytes,
@@ -210,26 +195,6 @@ std::optional<ArenaFile> ArenaFile::Open(const std::string& path,
 
   result.map_ = std::move(*map);
   return result;
-}
-
-std::optional<GraphFingerprint> PeekIndexFingerprint(const std::string& path,
-                                                     uint64_t magic) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  uint64_t got_magic = 0;
-  uint32_t version = 0;
-  GraphFingerprint fp;
-  BinaryReader reader(in);
-  if (!reader.Pod(got_magic) || got_magic != magic) return std::nullopt;
-  if (!reader.Pod(version) ||
-      (version != kIndexFormatVersion && version != kArenaFormatVersion)) {
-    return std::nullopt;
-  }
-  if (!reader.Pod(fp.vertices) || !reader.Pod(fp.edges) ||
-      !reader.Pod(fp.weight_checksum)) {
-    return std::nullopt;
-  }
-  return fp;
 }
 
 }  // namespace fannr

@@ -1,20 +1,19 @@
-// Shared on-disk header for persisted index files (hub labels, G-tree,
-// CH): magic number, format version, and the fingerprint of the graph
-// the index was built against.
+// On-disk format for persisted graphs and indexes (CSR graph, hub
+// labels, G-tree, CH): one relocatable arena file per object, opened by
+// mmap.
 //
-// The fingerprint (vertex count + edge count + weight checksum, see
+// Every file starts with the object's magic number, the format version
+// and the fingerprint of the graph it was built against. The
+// fingerprint (vertex count + edge count + weight checksum, see
 // graph/graph.h) is the load-time identity check: an index file saved
 // against a different road network — or against this network before a
-// weight update — is rejected by Load instead of silently serving
+// weight update — is rejected by LoadMmap instead of silently serving
 // distances from the wrong graph. Format history: v1 files had no
-// version or fingerprint after the magic; they are rejected (the next
-// word never matches a small version number), never misread. v2 is the
-// stream format below (WriteIndexHeader + per-index body). v3 is the
-// arena format (ArenaWriter/ArenaFile): the same magic/version/
-// fingerprint words at the same byte offsets, followed by a section
-// table of 64-byte-aligned flat POD arrays, designed to be opened via
-// mmap with O(header) validation. A v2 loader opening a v3 file fails
-// on the version word, and vice versa — never a misparse.
+// version or fingerprint after the magic; v2 was a stream format read
+// into heap vectors. Both fail the version check below and are
+// rejected, never misread. v3 (this format) is a section table of
+// 64-byte-aligned flat POD arrays, designed to be opened via mmap with
+// O(header) validation.
 
 #ifndef FANNR_GRAPH_INDEX_IO_H_
 #define FANNR_GRAPH_INDEX_IO_H_
@@ -28,40 +27,23 @@
 
 #include "common/column.h"
 #include "common/mmap_file.h"
-#include "common/serialize.h"
 #include "graph/fingerprint.h"
 
 namespace fannr {
 
-/// Current version of every index cache file (bumped in lockstep; a
-/// per-index split is not worth the bookkeeping while the header layout
-/// is shared).
-inline constexpr uint32_t kIndexFormatVersion = 2;
-
-/// Version word written by the arena (mmap) format.
+/// Version word of every file this format writes.
 inline constexpr uint32_t kArenaFormatVersion = 3;
-
-/// Writes `magic`, kIndexFormatVersion, and `fingerprint`.
-void WriteIndexHeader(BinaryWriter& writer, uint64_t magic,
-                      const GraphFingerprint& fingerprint);
-
-/// Reads and validates a header written by WriteIndexHeader: the magic
-/// and version must match exactly and the stored fingerprint must equal
-/// `expected` (the graph the caller wants the index to serve). Returns
-/// false on any mismatch or stream failure.
-bool ReadIndexHeader(BinaryReader& reader, uint64_t magic,
-                     const GraphFingerprint& expected);
 
 // ---------------------------------------------------------------------------
 // Format v3: relocatable arena files.
 //
 // Layout (all fields little-endian native, offsets in bytes):
 //
-//   0   u64  magic                 (same per-index magics as v2)
+//   0   u64  magic                 (one per object kind)
 //   8   u32  version               (= kArenaFormatVersion)
-//   12  u64  fingerprint.vertices         (same offsets as v2)
-//   20  u64  fingerprint.edges            (same offsets as v2)
-//   28  u64  fingerprint.weight_checksum  (same offsets as v2)
+//   12  u64  fingerprint.vertices
+//   20  u64  fingerprint.edges
+//   28  u64  fingerprint.weight_checksum
 //   36  u32  section_count
 //   40  u64  flags                 (bit 0: payload checksum present)
 //   48  u64  payload_checksum      (over bytes [64, file_bytes))
@@ -74,7 +56,7 @@ bool ReadIndexHeader(BinaryReader& reader, uint64_t magic,
 // payload checksum over every byte past the header is verified only
 // under ArenaValidation::kFull — the explicit trade of the v3 format is
 // that a default open trusts the payload bytes structurally validated
-// by the per-index Load and defers whole-file integrity to the caller.
+// by the per-index LoadMmap and defers whole-file integrity to the caller.
 // ---------------------------------------------------------------------------
 
 /// How much of an arena file Open verifies before handing out views.
@@ -126,8 +108,11 @@ class ArenaWriter {
     sections_.push_back({nullptr, sizeof(T), owned_.size() - 1});
   }
 
-  /// Writes header + section table + aligned sections + checksum to
-  /// `path` (truncating). Returns false on any I/O failure.
+  /// Writes header + section table + aligned sections + checksum to a
+  /// temporary file next to `path`, then renames it over `path`. A
+  /// process that has the old file mapped keeps reading the old bytes
+  /// (truncating in place would SIGBUS its unread pages). Returns false
+  /// on any I/O failure, leaving `path` untouched.
   bool Write(const std::string& path, uint64_t magic,
              const GraphFingerprint& fingerprint) const;
 
@@ -206,13 +191,6 @@ class ArenaFile {
   GraphFingerprint fingerprint_;
   std::vector<Section> sections_;
 };
-
-/// Reads just the stored fingerprint of a v2 or v3 index file without
-/// validating the body. Returns nullopt when the file cannot be read or
-/// the magic/version is unrecognized. Used by tooling to report what a
-/// cache file was built against.
-std::optional<GraphFingerprint> PeekIndexFingerprint(const std::string& path,
-                                                     uint64_t magic);
 
 }  // namespace fannr
 

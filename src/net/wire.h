@@ -7,8 +7,7 @@
 // pattern. WireWriter appends to a growable byte buffer; WireReader
 // walks a fixed span and fails closed — every accessor returns false
 // once the declared bytes run out, and vector/string lengths are
-// bounded by the bytes actually remaining (the in-memory analogue of
-// BinaryReader::Vec's corrupt-header defense), so a frame claiming a
+// bounded by the bytes actually remaining, so a frame claiming a
 // terabyte payload fails fast instead of near-OOM allocating.
 
 #ifndef FANNR_NET_WIRE_H_

@@ -274,8 +274,7 @@ namespace {
 constexpr uint64_t kChMagic = 0xFA22A81AC4000003ULL;
 
 /// The upward CSR must be a monotone prefix array over valid targets —
-/// BidirUpwardSearch follows it without bounds checks. Shared by both
-/// load paths.
+/// BidirUpwardSearch follows it without bounds checks.
 bool ValidUpwardCsr(uint64_t vertices, const Column<size_t>& offsets,
                     const Column<Arc>& arcs) {
   if (offsets.size() != vertices + 1) return false;
@@ -290,38 +289,7 @@ bool ValidUpwardCsr(uint64_t vertices, const Column<size_t>& offsets,
 }
 }  // namespace
 
-bool ContractionHierarchy::Save(std::ostream& out) const {
-  BinaryWriter w(out);
-  WriteIndexHeader(w, kChMagic, fingerprint_);
-  w.Pod<uint64_t>(num_shortcuts_);
-  w.Span(up_offsets_.data(), up_offsets_.size());
-  w.Span(up_arcs_.data(), up_arcs_.size());
-  return w.ok();
-}
-
-std::optional<ContractionHierarchy> ContractionHierarchy::Load(
-    const Graph& graph, std::istream& in) {
-  BinaryReader r(in);
-  if (!ReadIndexHeader(r, kChMagic, graph.Fingerprint())) {
-    return std::nullopt;
-  }
-  const uint64_t vertices = graph.NumVertices();
-  uint64_t shortcuts = 0;
-  ContractionHierarchy ch(vertices);
-  ch.fingerprint_ = graph.Fingerprint();
-  ch.build_epoch_ = graph.epoch();
-  if (!r.Pod(shortcuts) || !r.Vec(ch.up_offsets_.vec()) ||
-      !r.Vec(ch.up_arcs_.vec())) {
-    return std::nullopt;
-  }
-  if (!ValidUpwardCsr(vertices, ch.up_offsets_, ch.up_arcs_)) {
-    return std::nullopt;
-  }
-  ch.num_shortcuts_ = shortcuts;
-  return ch;
-}
-
-bool ContractionHierarchy::SaveV3(const std::string& path) const {
+bool ContractionHierarchy::Save(const std::string& path) const {
   ArenaWriter writer;
   std::vector<Arc> clean_arcs(up_arcs_.size());
   std::memset(clean_arcs.data(), 0, clean_arcs.size() * sizeof(Arc));

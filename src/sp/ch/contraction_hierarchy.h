@@ -12,7 +12,6 @@
 #define FANNR_SP_CH_CONTRACTION_HIERARCHY_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
@@ -27,7 +26,7 @@
 namespace fannr {
 
 /// Exact CH distance oracle. The index itself (the upward search graph)
-/// is immutable after Build/Load and safe to share across threads; all
+/// is immutable after Build/LoadMmap and safe to share across threads; all
 /// query scratch lives in Search objects. The convenience Distance()
 /// method below uses one internal Search and is therefore NOT
 /// thread-safe — concurrent readers must create one Search per thread.
@@ -76,25 +75,15 @@ class ContractionHierarchy {
   /// Approximate heap bytes of the upward search graph.
   size_t MemoryBytes() const;
 
-  /// Serializes the index (cache format; versioned header carrying the
-  /// source graph's fingerprint — see graph/index_io.h). Returns false on
-  /// I/O failure.
-  bool Save(std::ostream& out) const;
+  /// Writes the arena cache file (graph/index_io.h; its header carries
+  /// the source graph's fingerprint) with zeroed arc padding
+  /// (bit-deterministic). Returns false on I/O failure.
+  bool Save(const std::string& path) const;
 
-  /// Reloads an index previously written by Save against the same graph.
+  /// Opens a Save file by mmap; the upward CSR points into the mapping.
   /// Returns nullopt on corrupt input, a stale format version, or a
   /// graph-fingerprint mismatch (a file saved against a different or
-  /// since-updated network is rejected).
-  static std::optional<ContractionHierarchy> Load(const Graph& graph,
-                                                  std::istream& in);
-
-  /// Writes the arena (format v3, graph/index_io.h) cache file with
-  /// zeroed arc padding (bit-deterministic). Returns false on I/O
-  /// failure.
-  bool SaveV3(const std::string& path) const;
-
-  /// Opens a SaveV3 file by mmap; the upward CSR points into the
-  /// mapping. Same rejection contract as Load; the payload checksum is
+  /// since-updated network is rejected); the payload checksum is
   /// verified only under ArenaValidation::kFull.
   static std::optional<ContractionHierarchy> LoadMmap(
       const Graph& graph, const std::string& path,
@@ -107,7 +96,7 @@ class ContractionHierarchy {
   const GraphFingerprint& fingerprint() const { return fingerprint_; }
 
   /// True iff the index still answers for `graph` exactly (no weight
-  /// update since Build/Load). O(1); consulted by fann/dispatch for the
+  /// update since Build/LoadMmap). O(1); consulted by fann/dispatch for the
   /// stale-index query fallback.
   bool FreshFor(const Graph& graph) const {
     return build_epoch_ == graph.epoch() && fingerprint_ == graph.Fingerprint();

@@ -546,7 +546,7 @@ namespace {
 
 constexpr uint64_t kGTreeMagic = 0xFA22A81A67BEE002ULL;
 
-// POD mirrors of the v3 scalar/meta sections (see SaveV3 below).
+// POD mirrors of the scalar/meta sections (see Save below).
 struct GTreeParamsPod {
   uint64_t fanout;
   uint64_t leaf_capacity;
@@ -565,10 +565,10 @@ struct GTreeNodePod {
 };
 static_assert(sizeof(GTreeNodePod) == 24);
 
-// Structural checks shared by Load and LoadMmap: every array reference
-// that Distance(), SourceOracle and the kNN engine follow without
-// bounds checks must be internally consistent, so a corrupt payload can
-// never cause an out-of-range read or a non-terminating parent walk.
+// Structural checks on load: every array reference that Distance(),
+// SourceOracle and the kNN engine follow without bounds checks must be
+// internally consistent, so a corrupt payload can never cause an
+// out-of-range read or a non-terminating parent walk.
 bool ValidTreeStructure(size_t vertices,
                         const std::vector<GTree::Node>& nodes,
                         const Column<int32_t>& leaf_of,
@@ -643,74 +643,7 @@ bool ValidTreeStructure(size_t vertices,
 
 }  // namespace
 
-bool GTree::Save(std::ostream& out) const {
-  BinaryWriter w(out);
-  WriteIndexHeader(w, kGTreeMagic, fingerprint_);
-  w.Pod<uint64_t>(options_.fanout);
-  w.Pod<uint64_t>(options_.leaf_capacity);
-  w.Pod<uint64_t>(num_leaves_);
-  w.Span(leaf_of_.data(), leaf_of_.size());
-  w.Span(leaf_pos_.data(), leaf_pos_.size());
-  w.Pod<uint64_t>(nodes_.size());
-  for (const Node& nd : nodes_) {
-    w.Pod(nd.parent);
-    w.Pod(nd.depth);
-    w.Pod<uint8_t>(nd.is_leaf ? 1 : 0);
-    w.Pod(nd.occ_offset);
-    w.Pod(nd.leaf_begin);
-    w.Pod(nd.leaf_end);
-    w.Span(nd.children.data(), nd.children.size());
-    w.Span(nd.vertices.data(), nd.vertices.size());
-    w.Span(nd.borders.data(), nd.borders.size());
-    w.Span(nd.occupants.data(), nd.occupants.size());
-    w.Span(nd.border_occ_pos.data(), nd.border_occ_pos.size());
-    w.Span(nd.matrix.data(), nd.matrix.size());
-  }
-  return w.ok();
-}
-
-std::optional<GTree> GTree::Load(const Graph& graph, std::istream& in) {
-  BinaryReader r(in);
-  uint64_t fanout = 0, leaf_capacity = 0, num_leaves = 0, num_nodes = 0;
-  if (!ReadIndexHeader(r, kGTreeMagic, graph.Fingerprint())) {
-    return std::nullopt;
-  }
-  const uint64_t vertices = graph.NumVertices();
-  GTree tree;
-  tree.graph_ = &graph;
-  tree.fingerprint_ = graph.Fingerprint();
-  tree.build_epoch_ = graph.epoch();
-  if (!r.Pod(fanout) || !r.Pod(leaf_capacity) || !r.Pod(num_leaves)) {
-    return std::nullopt;
-  }
-  tree.options_.fanout = fanout;
-  tree.options_.leaf_capacity = leaf_capacity;
-  tree.num_leaves_ = num_leaves;
-  if (!r.Vec(tree.leaf_of_.vec()) || !r.Vec(tree.leaf_pos_.vec()) ||
-      !r.Pod(num_nodes)) {
-    return std::nullopt;
-  }
-  tree.nodes_.resize(num_nodes);
-  for (Node& nd : tree.nodes_) {
-    uint8_t is_leaf = 0;
-    if (!r.Pod(nd.parent) || !r.Pod(nd.depth) || !r.Pod(is_leaf) ||
-        !r.Pod(nd.occ_offset) || !r.Pod(nd.leaf_begin) ||
-        !r.Pod(nd.leaf_end) || !r.Vec(nd.children.vec()) ||
-        !r.Vec(nd.vertices.vec()) || !r.Vec(nd.borders.vec()) ||
-        !r.Vec(nd.occupants.vec()) || !r.Vec(nd.border_occ_pos.vec()) ||
-        !r.Vec(nd.matrix.vec())) {
-      return std::nullopt;
-    }
-    nd.is_leaf = is_leaf != 0;
-  }
-  if (!ValidTreeStructure(vertices, tree.nodes_, tree.leaf_of_,
-                          tree.leaf_pos_)) {
-    return std::nullopt;
-  }
-  return tree;
-}
-
-bool GTree::SaveV3(const std::string& path) const {
+bool GTree::Save(const std::string& path) const {
   // Sixteen sections: params, leaf_of, leaf_pos, node metas, then a
   // (u64 prefix-offset array of length num_nodes + 1, concatenated
   // payload) pair per ragged per-node field. LoadMmap borrows node i's

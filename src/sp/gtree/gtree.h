@@ -20,7 +20,6 @@
 #define FANNR_SP_GTREE_GTREE_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
@@ -35,7 +34,7 @@ class ThreadPool;
 
 /// Hierarchical road-network index; see file comment.
 ///
-/// Thread-safety: the index is immutable after Build/Load. Distance,
+/// Thread-safety: the index is immutable after Build/LoadMmap. Distance,
 /// WithinLeafDistances and the structure accessors keep all search state
 /// in locals, so concurrent readers need no synchronization; SourceOracle
 /// and GTreeKnn::Search carry their own per-instance state and should be
@@ -51,8 +50,8 @@ class GTree {
   };
 
   /// Tree node. Exposed (read-only) for the kNN engine and tests. The
-  /// per-node arrays are Columns: owned vectors after Build/Load, views
-  /// into the mapped file after LoadMmap (graph/index_io.h format v3).
+  /// per-node arrays are Columns: owned vectors after Build, views into
+  /// the mapped file after LoadMmap (graph/index_io.h).
   struct Node {
     int32_t parent = -1;
     uint32_t depth = 0;
@@ -145,29 +144,20 @@ class GTree {
     std::vector<Weight> within_;            // within-leaf from source
   };
 
-  /// Serializes the index (cache format; versioned header carrying the
-  /// source graph's fingerprint — see graph/index_io.h). Returns false on
-  /// I/O failure.
-  bool Save(std::ostream& out) const;
+  /// Writes the arena cache file (graph/index_io.h; its header carries
+  /// the source graph's fingerprint): the per-node arrays are flattened
+  /// into per-field (prefix offsets, concatenated payload) section
+  /// pairs, so LoadMmap can point every node's Columns into the mapping
+  /// without copying. Returns false on I/O failure.
+  bool Save(const std::string& path) const;
 
-  /// Reloads an index previously written by Save against the same graph.
+  /// Opens a Save file by mmap against the graph it was built for.
   /// Returns nullopt on corrupt input, a stale format version, or a
   /// graph-fingerprint mismatch (a file saved against a different or
-  /// since-updated network is rejected).
-  static std::optional<GTree> Load(const Graph& graph, std::istream& in);
-
-  /// Writes the arena (format v3, graph/index_io.h) cache file: the
-  /// per-node arrays are flattened into per-field (prefix offsets,
-  /// concatenated payload) section pairs, so LoadMmap can point every
-  /// node's Columns into the mapping without copying. Returns false on
-  /// I/O failure.
-  bool SaveV3(const std::string& path) const;
-
-  /// Opens a SaveV3 file by mmap. Same rejection contract as Load, plus
-  /// O(nodes) structural checks (prefix arrays monotone, matrix sizes
-  /// consistent with border/occupant counts) so queries on the views
-  /// stay memory-safe; the payload checksum is verified only under
-  /// ArenaValidation::kFull.
+  /// since-updated network is rejected). O(nodes) structural checks
+  /// (prefix arrays monotone, matrix sizes consistent with
+  /// border/occupant counts) keep queries on the views memory-safe; the
+  /// payload checksum is verified only under ArenaValidation::kFull.
   static std::optional<GTree> LoadMmap(
       const Graph& graph, const std::string& path,
       ArenaValidation validation = ArenaValidation::kHeaderOnly);
@@ -179,7 +169,7 @@ class GTree {
   const GraphFingerprint& fingerprint() const { return fingerprint_; }
 
   /// True iff the index still answers for `graph` exactly (no weight
-  /// update since Build/Load). O(1); consulted by fann/dispatch for the
+  /// update since Build/LoadMmap). O(1); consulted by fann/dispatch for the
   /// stale-index query fallback.
   bool FreshFor(const Graph& graph) const {
     return build_epoch_ == graph.epoch() && fingerprint_ == graph.Fingerprint();

@@ -205,7 +205,7 @@ double HubLabels::AverageLabelSize() const {
 namespace {
 constexpr uint64_t kHubLabelsMagic = 0xFA22A81A6E150001ULL;
 
-/// Structural validation shared by both load paths: one span per
+/// Structural validation on load: one span per
 /// vertex, spans non-decreasing and ending exactly at the entry count —
 /// Distance() indexes entries straight from offsets, so a corrupt
 /// prefix array would read out of bounds. Entry hub ranks must be valid
@@ -225,33 +225,7 @@ bool ValidLabelStructure(const Graph& graph, const Column<size_t>& offsets,
 
 }  // namespace
 
-bool HubLabels::Save(std::ostream& out) const {
-  BinaryWriter w(out);
-  WriteIndexHeader(w, kHubLabelsMagic, fingerprint_);
-  w.Span(offsets_.data(), offsets_.size());
-  w.Span(entries_.data(), entries_.size());
-  return w.ok();
-}
-
-std::optional<HubLabels> HubLabels::Load(const Graph& graph,
-                                         std::istream& in) {
-  BinaryReader r(in);
-  if (!ReadIndexHeader(r, kHubLabelsMagic, graph.Fingerprint())) {
-    return std::nullopt;
-  }
-  HubLabels result;
-  if (!r.Vec(result.offsets_.vec()) || !r.Vec(result.entries_.vec())) {
-    return std::nullopt;
-  }
-  if (!ValidLabelStructure(graph, result.offsets_, result.entries_)) {
-    return std::nullopt;
-  }
-  result.fingerprint_ = graph.Fingerprint();
-  result.build_epoch_ = graph.epoch();
-  return result;
-}
-
-bool HubLabels::SaveV3(const std::string& path) const {
+bool HubLabels::Save(const std::string& path) const {
   ArenaWriter writer;
   // Entry has 4 padding bytes after hub_rank; zero them so the section
   // bytes (and the payload checksum) are deterministic.

@@ -18,7 +18,6 @@
 #define FANNR_SP_LABEL_HUB_LABELS_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -32,7 +31,7 @@ namespace fannr {
 
 class ThreadPool;
 
-/// Exact 2-hop-labeling distance oracle. Immutable after Build/Load;
+/// Exact 2-hop-labeling distance oracle. Immutable after Build/LoadMmap;
 /// Distance is a pure two-pointer scan over the label arrays, so the
 /// whole query surface is safe for concurrent readers.
 class HubLabels {
@@ -81,28 +80,19 @@ class HubLabels {
   /// Approximate heap bytes held by the index.
   size_t MemoryBytes() const;
 
-  /// Serializes the index to a stream (cache format; see
-  /// graph/index_io.h — the header carries a format version and the
-  /// fingerprint of the graph the labels were built against). Returns
-  /// false on I/O failure.
-  bool Save(std::ostream& out) const;
+  /// Writes the arena cache file (graph/index_io.h — the header carries
+  /// a format version and the fingerprint of the graph the labels were
+  /// built against). Entry padding bytes are zeroed so the file is
+  /// bit-deterministic. Returns false on I/O failure.
+  bool Save(const std::string& path) const;
 
-  /// Reloads an index previously written by Save against `graph`.
-  /// Returns nullopt on corrupt input, a stale format version, or a file
-  /// whose stored graph fingerprint does not match `graph` — a hub-label
-  /// file for a different (or since-updated) network is rejected, never
-  /// loaded into service of wrong distances.
-  static std::optional<HubLabels> Load(const Graph& graph, std::istream& in);
-
-  /// Writes the arena (format v3, graph/index_io.h) cache file. Entry
-  /// padding bytes are zeroed so the file is bit-deterministic. Returns
-  /// false on I/O failure.
-  bool SaveV3(const std::string& path) const;
-
-  /// Opens a SaveV3 file by mmap: the label arrays point into the
-  /// mapping (no copy). Same rejection contract as Load — wrong graph,
-  /// wrong version, or structurally invalid tables return nullopt; the
-  /// payload checksum is verified only under ArenaValidation::kFull.
+  /// Opens a Save file by mmap: the label arrays point into the mapping
+  /// (no copy). Returns nullopt on corrupt input, a stale format
+  /// version, structurally invalid tables, or a file whose stored graph
+  /// fingerprint does not match `graph` — a hub-label file for a
+  /// different (or since-updated) network is rejected, never loaded
+  /// into service of wrong distances. The payload checksum is verified
+  /// only under ArenaValidation::kFull.
   static std::optional<HubLabels> LoadMmap(
       const Graph& graph, const std::string& path,
       ArenaValidation validation = ArenaValidation::kHeaderOnly);
@@ -114,7 +104,7 @@ class HubLabels {
   const GraphFingerprint& fingerprint() const { return fingerprint_; }
 
   /// True iff the index still answers for `graph` exactly: same identity
-  /// and no weight update has been applied since Build/Load. O(1);
+  /// and no weight update has been applied since Build/LoadMmap. O(1);
   /// consulted by fann/dispatch for the stale-index query fallback.
   bool FreshFor(const Graph& graph) const {
     return build_epoch_ == graph.epoch() && fingerprint_ == graph.Fingerprint();

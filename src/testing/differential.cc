@@ -550,28 +550,30 @@ std::vector<std::string> RunDifferentialChecks(
   const Graph& graph = *scenario.graph;
   Report report(options.max_violations);
 
-  IndexedVertexSet p_set(graph.NumVertices(), scenario.p);
-  IndexedVertexSet q_set(graph.NumVertices(), scenario.q);
-  auto matrix = OracleDistanceMatrix(graph, scenario.p, scenario.q);
-  {
-    DijkstraSearch search(graph);
-    for (VertexId p : SsspKernelMismatches(search, scenario.p, scenario.q)) {
-      report.Add("[sssp] SsspInto row from p=" + std::to_string(p) +
-                 " differs bitwise from DijkstraSssp");
-    }
-  }
-
   // Weighted scenarios: scale the oracle matrix to w_i * d(q_i, p) up
   // front. Every downstream check (oracle ranking, subset folds, rank
   // ties) then audits exactly the quantity the weighted solvers
   // compute — same doubles, same multiplication, bitwise-comparable.
   const bool weighted = !scenario.weights.empty();
   FANNR_CHECK(!weighted || scenario.weights.size() == scenario.q.size());
-  if (weighted) {
-    for (size_t qi = 0; qi < matrix.size(); ++qi) {
+  const auto oracle_matrix = [&](const std::vector<VertexId>& q) {
+    auto matrix = OracleDistanceMatrix(graph, scenario.p, q);
+    for (size_t qi = 0; weighted && qi < matrix.size(); ++qi) {
       for (Weight& d : matrix[qi]) {
         if (d != kInfWeight) d *= scenario.weights[qi];
       }
+    }
+    return matrix;
+  };
+
+  IndexedVertexSet p_set(graph.NumVertices(), scenario.p);
+  IndexedVertexSet q_set(graph.NumVertices(), scenario.q);
+  const auto matrix = oracle_matrix(scenario.q);
+  {
+    DijkstraSearch search(graph);
+    for (VertexId p : SsspKernelMismatches(search, scenario.p, scenario.q)) {
+      report.Add("[sssp] SsspInto row from p=" + std::to_string(p) +
+                 " differs bitwise from DijkstraSssp");
     }
   }
 
@@ -599,13 +601,32 @@ std::vector<std::string> RunDifferentialChecks(
     aggregates.push_back(Aggregate::kSum);
   }
 
+  // Batch jobs run on Q and on the shifted Q (ShiftedQuery), each
+  // against its own oracle. The shifted jobs scan P in reverse, so they
+  // first look up the sources the job before left most recently used —
+  // the rows still resident, bounded by the other Q.
+  Scenario shifted = scenario;
+  shifted.q = ShiftedQuery(scenario);
+  const IndexedVertexSet shifted_q_set(graph.NumVertices(), shifted.q);
+  const IndexedVertexSet reversed_p_set(
+      graph.NumVertices(),
+      std::vector<VertexId>(scenario.p.rbegin(), scenario.p.rend()));
   std::vector<FannrQuery> batch_jobs;
   std::vector<const AggOracle*> batch_oracles;
   std::vector<AggOracle> oracles;
+  std::vector<AggOracle> shifted_oracles;
   oracles.reserve(aggregates.size());
+  shifted_oracles.reserve(aggregates.size());
 
   for (Aggregate aggregate : aggregates) {
     oracles.push_back(BuildAggOracle(scenario, matrix, aggregate));
+  }
+  if (options.check_batch) {
+    const auto shifted_matrix = oracle_matrix(shifted.q);
+    for (Aggregate aggregate : aggregates) {
+      shifted_oracles.push_back(
+          BuildAggOracle(shifted, shifted_matrix, aggregate));
+    }
   }
 
   for (size_t ai = 0; ai < aggregates.size(); ++ai) {
@@ -625,6 +646,10 @@ std::vector<std::string> RunDifferentialChecks(
         if (weighted && !FannAlgorithmSupportsWeights(algorithm)) continue;
         batch_jobs.push_back({query, algorithm});
         batch_oracles.push_back(&oracles[ai]);
+        batch_jobs.push_back(batch_jobs.back());
+        batch_jobs.back().query.data_points = &reversed_p_set;
+        batch_jobs.back().query.query_points = &shifted_q_set;
+        batch_oracles.push_back(&shifted_oracles[ai]);
       }
     }
   }
@@ -636,22 +661,35 @@ std::vector<std::string> RunDifferentialChecks(
     resources.graph = &graph;
     BatchOptions single;
     single.num_threads = 1;
-    BatchOptions multi;
+    // Small caches stay full, so their misses build rows bounded by Q,
+    // narrow misses (a job on the shifted Q meeting a row bounded by Q)
+    // and recycled rows — in a fixed order on one thread, in a
+    // scheduling-dependent mix on several — against the full rows of
+    // the single-threaded engine's roomy cache. Half of P leaves the
+    // most resident rows bounded after a scan over P.
+    BatchOptions single_small = single;
+    single_small.cache_capacity = std::max<size_t>(1, scenario.p.size() / 2);
+    BatchOptions multi = single;
     multi.num_threads = std::max<size_t>(2, options.batch_threads);
-    // Two entries keep the multi-threaded engine's cache full, so its
-    // misses build rows bounded by Q, narrow misses and recycled rows,
-    // against the single-threaded engine's full rows.
     multi.cache_capacity = 2;
     std::vector<FannResult> seq =
         BatchQueryEngine(resources, single).Run(batch_jobs);
-    std::vector<FannResult> par =
-        BatchQueryEngine(resources, multi).Run(batch_jobs);
+    std::vector<std::vector<FannResult>> others;
+    for (const BatchOptions& other : {single_small, multi}) {
+      others.push_back(BatchQueryEngine(resources, other).Run(batch_jobs));
+    }
     for (size_t i = 0; i < batch_jobs.size(); ++i) {
-      const std::string name(FannAlgorithmName(batch_jobs[i].algorithm));
-      if (!SameFannResult(seq[i], par[i])) {
-        report.Add("[batch/" + name +
-                   "] results differ between 1 and " +
-                   std::to_string(multi.num_threads) + " threads");
+      const std::string name =
+          std::string(FannAlgorithmName(batch_jobs[i].algorithm)) +
+          (batch_jobs[i].query.query_points == &q_set ? "" : " shifted Q");
+      for (size_t e = 0; e < others.size(); ++e) {
+        if (!SameFannResult(seq[i], others[e][i])) {
+          const BatchOptions& other = e == 0 ? single_small : multi;
+          report.Add("[batch/" + name + "] T=" +
+                     std::to_string(other.num_threads) + " on a " +
+                     std::to_string(other.cache_capacity) +
+                     "-entry cache differs from T=1 on a roomy cache");
+        }
       }
       const AggOracle& oracle = *batch_oracles[i];
       const bool apx = batch_jobs[i].algorithm == FannAlgorithm::kApxSum;

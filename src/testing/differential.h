@@ -18,7 +18,8 @@
 //   * APX-sum respects the paper's approximation bound (<= 3x, and
 //     <= 2x when Q is a subset of P);
 //   * the batch engine returns bitwise-identical results for every
-//     thread count, matching the sequential dispatch path.
+//     thread count, matching the oracle, on Q and on a second Q
+//     (ShiftedQuery) so its cache serves one source to two Qs.
 //
 // Violations come back as human-readable strings (empty = scenario
 // passed). MinimizeScenario greedily shrinks a failing scenario while

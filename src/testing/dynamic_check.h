@@ -12,8 +12,9 @@
 //     distance cache intact — proving epoch-stamped entries are
 //     reclaimed, never returned (the cache-poisoning check);
 //   * BatchQueryEngines at several thread counts, also kept alive
-//     across waves, whose results must additionally be bitwise
-//     identical to each other;
+//     across waves, answering on Q and on a second Q (ShiftedQuery),
+//     whose results must additionally be bitwise identical to each
+//     other;
 //   * an engine configured with an index-backed oracle (PHL) whose
 //     index was built before the updates — it must diagnose the stale
 //     index, fall back to index-free solving, annotate the traces, and

@@ -242,6 +242,17 @@ Scenario GenerateScenario(uint64_t seed) {
   return scenario;
 }
 
+std::vector<VertexId> ShiftedQuery(const Scenario& scenario) {
+  FANNR_CHECK(scenario.graph != nullptr);
+  const size_t n = scenario.graph->NumVertices();
+  std::vector<VertexId> shifted;
+  shifted.reserve(scenario.q.size());
+  for (VertexId q : scenario.q) {
+    shifted.push_back(static_cast<VertexId>((q + n / 2) % n));
+  }
+  return shifted;
+}
+
 bool WriteScenario(const Scenario& scenario, std::ostream& out) {
   FANNR_CHECK(scenario.graph != nullptr);
   const Graph& graph = *scenario.graph;
@@ -306,7 +317,9 @@ std::optional<Scenario> Fail(std::string* error, const std::string& what) {
 
 }  // namespace
 
-std::optional<Scenario> ReadScenario(std::istream& in, std::string* error) {
+std::optional<Scenario> ReadScenario(const std::string& text,
+                                     std::string* error) {
+  std::istringstream in(text);
   std::string line;
   if (!std::getline(in, line) || line != "fannr-scenario 1") {
     return Fail(error, "missing 'fannr-scenario 1' header");
@@ -458,7 +471,9 @@ std::optional<Scenario> ReadScenarioFile(const std::string& path,
                                          std::string* error) {
   std::ifstream in(path);
   if (!in) return Fail(error, "cannot open " + path);
-  return ReadScenario(in, error);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return ReadScenario(text.str(), error);
 }
 
 }  // namespace fannr::testing

@@ -55,6 +55,15 @@ struct Scenario {
 /// Deterministically generates the scenario for `seed`.
 Scenario GenerateScenario(uint64_t seed);
 
+/// The second query set the batch checks run beside `scenario.q`: every
+/// q shifted by |V|/2 (mod |V|). One source is then served to two
+/// different Qs, so a cached row bounded by one Q is looked up for the
+/// other (a narrow miss). Derived from the scenario's own fields, so
+/// corpus files carry nothing new; the shift is a bijection on vertex
+/// ids, so the set keeps |Q| distinct members and stays aligned with
+/// `scenario.weights`.
+std::vector<VertexId> ShiftedQuery(const Scenario& scenario);
+
 /// Serializes `scenario` in the self-contained text format (bitwise
 /// round-trips weights and phi). Returns false on I/O failure.
 bool WriteScenario(const Scenario& scenario, std::ostream& out);
@@ -62,7 +71,7 @@ bool WriteScenarioFile(const Scenario& scenario, const std::string& path);
 
 /// Parses a scenario written by WriteScenario. Returns nullopt (with a
 /// message in `error` when non-null) on malformed input.
-std::optional<Scenario> ReadScenario(std::istream& in,
+std::optional<Scenario> ReadScenario(const std::string& text,
                                      std::string* error = nullptr);
 std::optional<Scenario> ReadScenarioFile(const std::string& path,
                                          std::string* error = nullptr);

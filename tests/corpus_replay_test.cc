@@ -56,8 +56,7 @@ TEST(CorpusReplayTest, ReproducersRoundTripBitwise) {
     ASSERT_TRUE(scenario.has_value()) << path << ": " << error;
     std::ostringstream first;
     ASSERT_TRUE(testing::WriteScenario(*scenario, first));
-    std::istringstream in(first.str());
-    const auto reparsed = testing::ReadScenario(in, &error);
+    const auto reparsed = testing::ReadScenario(first.str(), &error);
     ASSERT_TRUE(reparsed.has_value()) << path << ": " << error;
     std::ostringstream second;
     ASSERT_TRUE(testing::WriteScenario(*reparsed, second));

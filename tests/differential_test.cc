@@ -89,9 +89,8 @@ TEST(ScenarioSerializationTest, RoundTripsBitwise) {
     const Scenario original = GenerateScenario(seed);
     std::ostringstream first;
     ASSERT_TRUE(WriteScenario(original, first));
-    std::istringstream in(first.str());
     std::string error;
-    const auto reparsed = ReadScenario(in, &error);
+    const auto reparsed = ReadScenario(first.str(), &error);
     ASSERT_TRUE(reparsed.has_value()) << error;
     EXPECT_EQ(reparsed->p, original.p);
     EXPECT_EQ(reparsed->q, original.q);
@@ -126,8 +125,7 @@ TEST(ScenarioSerializationTest, RejectsMalformedWeights) {
   ASSERT_NE(line_end, std::string::npos);
 
   const auto parses = [](const std::string& text) {
-    std::istringstream in(text);
-    return ReadScenario(in).has_value();
+    return ReadScenario(text).has_value();
   };
   ASSERT_TRUE(parses(good));
 
@@ -153,9 +151,8 @@ TEST(ScenarioSerializationTest, RejectsMalformedInput) {
            "fannr-scenario 1\ngraph 2 1\n",     // truncated
            "fannr-scenario 1\np 1 7\nend\n",    // p before graph
        }) {
-    std::istringstream in(bad);
     std::string error;
-    EXPECT_FALSE(ReadScenario(in, &error).has_value());
+    EXPECT_FALSE(ReadScenario(bad, &error).has_value());
     EXPECT_FALSE(error.empty());
   }
 }

@@ -1,7 +1,7 @@
 // The wire-protocol decoders must be total: any byte sequence either
 // decodes into a validated struct or returns false — never a crash, an
 // out-of-bounds read (the ASan/UBSan CI jobs run this file), or an
-// attacker-sized allocation. Style follows corrupt_index_test.cc: build
+// attacker-sized allocation. Style follows mmap_index_test.cc: build
 // a valid artifact, then corrupt every region in turn — truncations,
 // oversized declared lengths, bad magic/version/opcode, and a
 // single-byte-flip sweep over every payload type.

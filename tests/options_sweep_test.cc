@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <filesystem>
 #include <string>
 #include <tuple>
 
@@ -168,28 +168,36 @@ TEST(ClusteredWorkloadTest, AllAlgorithmsExactOnClusteredQ) {
   }
 }
 
+// Truncated index files: every prefix must fail LoadMmap under both
+// validations (the section table or a section runs past the end).
+constexpr ArenaValidation kValidations[] = {ArenaValidation::kHeaderOnly,
+                                            ArenaValidation::kFull};
+
 TEST(SerializeRobustnessTest, GTreeLoadRejectsTruncatedStream) {
   Graph g = testing::MakeRandomNetwork(200, 811);
   GTree::Options options;
   options.leaf_capacity = 16;
   GTree tree = GTree::Build(g, options);
-  std::stringstream full;
-  ASSERT_TRUE(tree.Save(full));
-  const std::string bytes = full.str();
-  for (size_t cut : {size_t{4}, bytes.size() / 2, bytes.size() - 3}) {
-    std::stringstream truncated(bytes.substr(0, cut));
-    EXPECT_FALSE(GTree::Load(g, truncated).has_value()) << "cut " << cut;
+  const std::string path = ::testing::TempDir() + "fannr_sweep_gtree.v3";
+  ASSERT_TRUE(tree.Save(path));
+  const size_t size = std::filesystem::file_size(path);
+  for (size_t cut : {size - 3, size / 2, size_t{4}}) {
+    std::filesystem::resize_file(path, cut);
+    for (const ArenaValidation v : kValidations) {
+      EXPECT_FALSE(GTree::LoadMmap(g, path, v).has_value()) << "cut " << cut;
+    }
   }
 }
 
 TEST(SerializeRobustnessTest, ChLoadRejectsTruncatedStream) {
   Graph g = testing::MakeRandomNetwork(150, 812);
   ContractionHierarchy ch = ContractionHierarchy::Build(g);
-  std::stringstream full;
-  ASSERT_TRUE(ch.Save(full));
-  const std::string bytes = full.str();
-  std::stringstream truncated(bytes.substr(0, bytes.size() / 2));
-  EXPECT_FALSE(ContractionHierarchy::Load(g, truncated).has_value());
+  const std::string path = ::testing::TempDir() + "fannr_sweep_ch.v3";
+  ASSERT_TRUE(ch.Save(path));
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) / 2);
+  for (const ArenaValidation v : kValidations) {
+    EXPECT_FALSE(ContractionHierarchy::LoadMmap(g, path, v).has_value());
+  }
 }
 
 }  // namespace
