@@ -164,6 +164,49 @@ BENCHMARK(BM_SsspBoundedInto)
     ->Arg(16)
     ->Unit(benchmark::kMillisecond);
 
+// Best-bounded rows in the same shape (sum, phi = 0.5): each of 32 Q
+// sets carries the bound a GD job over 16 random p ends with, the best
+// g_phi among them (computed from full rows outside the timed loop),
+// and each timed row from a random p stops once p cannot beat it.
+void BM_SsspPrunedInto(benchmark::State& state) {
+  const Graph& graph = SsspGraph(1);
+  Rng rng(37);
+  const size_t q_size = static_cast<size_t>(state.range(0));
+  const size_t k = FlexK(0.5, q_size);
+  DijkstraSearch search(graph);
+  std::vector<Weight> row;
+  std::vector<std::vector<VertexId>> q_sets;
+  std::vector<Weight> bounds;
+  for (int i = 0; i < 32; ++i) {
+    q_sets.push_back(GenerateUniformQueryPoints(graph, 0.1, q_size, rng));
+    Weight best = kInfWeight;
+    for (int j = 0; j < 16; ++j) {
+      search.SsspInto(
+          static_cast<VertexId>(rng.NextIndex(graph.NumVertices())), row);
+      std::vector<Weight> d;
+      for (VertexId q : q_sets.back()) d.push_back(row[q]);
+      std::sort(d.begin(), d.end());
+      best = std::min(best, FoldSorted(d.data(), k, Aggregate::kSum));
+    }
+    bounds.push_back(best);
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    const size_t job = i++ % q_sets.size();
+    benchmark::DoNotOptimize(search.SsspInto(
+        static_cast<VertexId>(rng.NextIndex(graph.NumVertices())),
+        q_sets[job], row, GphiBound{bounds[job], k, Aggregate::kSum, {}}));
+    benchmark::DoNotOptimize(row.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel("DE");
+}
+BENCHMARK(BM_SsspPrunedInto)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(16)
+    ->Unit(benchmark::kMillisecond);
+
 // The heap-based reference kernel on the same graphs and sources.
 void BM_DijkstraSssp(benchmark::State& state) {
   const Graph& graph = SsspGraph(state.range(0));

@@ -509,6 +509,8 @@ std::vector<FannResult> BatchQueryEngine::Run(
         cache_after.narrow_misses - cache_before.narrow_misses;
     report.cache.bounded_rows =
         cache_after.bounded_rows - cache_before.bounded_rows;
+    report.cache.pruned_rows =
+        cache_after.pruned_rows - cache_before.pruned_rows;
     report.cache_entries = cache_ != nullptr ? cache_->size() : 0;
     metrics_->Set(m_cache_entries_,
                   static_cast<double>(report.cache_entries));

@@ -28,7 +28,25 @@ void CachedSsspEngine::PrewarmScratch() { search_.ReserveFullSearch(); }
 
 GphiResult CachedSsspEngine::Evaluate(VertexId p, size_t k,
                                       Aggregate aggregate) {
+  return EvaluateBounded(p, k, aggregate, kInfWeight);
+}
+
+bool CachedSsspEngine::BeyondRadius(const std::vector<Weight>& row,
+                                    Weight radius) const {
+  if (radius == kInfWeight) return false;
+  for (VertexId q : query_points_->members()) {
+    if (row[q] > radius) return true;
+  }
+  return false;
+}
+
+GphiResult CachedSsspEngine::EvaluateBounded(VertexId p, size_t k,
+                                             Aggregate aggregate,
+                                             Weight bound) {
   FANNR_CHECK(query_points_ != nullptr);
+  // The bound only ever shortens a row that is bounded by Q anyway: a
+  // row that stops on it leaves a q beyond its radius, and p is pruned.
+  const GphiBound stop{bound, k, aggregate, weights_};
   const std::vector<Weight>* sssp = nullptr;
   std::shared_ptr<const std::vector<Weight>> cached;
   if (cache_ != nullptr) {
@@ -45,15 +63,15 @@ GphiResult CachedSsspEngine::Evaluate(VertexId p, size_t k,
       ++probes_.misses;
       // The cache is its own doorkeeper. While the source's shard has
       // room, a row evicts nothing and is built whole. Once it is full,
-      // a source the cache does not hold gets a row bounded by Q; one it
-      // held at another epoch, or held too narrow, has been read before
-      // and gets the full row.
+      // a source the cache does not hold gets a row bounded by Q and by
+      // the caller's bound; one it held at another epoch, or held too
+      // narrow, has been read before and gets the full row.
       std::vector<Weight> fresh = cache_->TakeSpareRow();
       Weight radius = kInfWeight;
       {
         Timer sssp_timer;
         if (probe == SourceDistanceCache::Probe::kAbsentFull) {
-          radius = search_.SsspInto(p, query_points_->members(), fresh);
+          radius = search_.SsspInto(p, query_points_->members(), fresh, stop);
         } else {
           search_.SsspInto(p, fresh);
         }
@@ -62,18 +80,22 @@ GphiResult CachedSsspEngine::Evaluate(VertexId p, size_t k,
                             metrics_shard_);
         }
       }
-      cached = cache_->Insert(p, epoch, std::move(fresh), radius);
+      const bool pruned = BeyondRadius(fresh, radius);
+      cached = cache_->Insert(p, epoch, std::move(fresh), radius, pruned);
+      if (pruned) return {};
     } else {
       ++probes_.hits;
     }
     sssp = cached.get();
   } else {
     Timer sssp_timer;
-    search_.SsspInto(p, query_points_->members(), scratch_sssp_);
+    const Weight radius =
+        search_.SsspInto(p, query_points_->members(), scratch_sssp_, stop);
     if (registry_ != nullptr) {
       registry_->Record(handles_.sssp_compute_ms, sssp_timer.Millis(),
                         metrics_shard_);
     }
+    if (BeyondRadius(scratch_sssp_, radius)) return {};
     sssp = &scratch_sssp_;
   }
   for (size_t i = 0; i < query_points_->size(); ++i) {

@@ -23,6 +23,13 @@
 //     that misses this Q (a narrow miss), has been read before and gets
 //     the full row, which replaces the narrow one;
 //   * without a cache every row is bounded by Q.
+// Best-bounded rows: wherever a row is bounded by Q (the second and the
+// last case), EvaluateBounded also stops it once the k-subset lower
+// bound on g_phi(p) passes the caller's bound (DijkstraSearch::SsspInto
+// with a GphiBound); p is then pruned ({kInfWeight, {}}) and the row is
+// inserted stamped with its radius like any bounded row, so a later
+// lookup for the same Q narrow-misses and builds the full row. Full
+// rows (room, stale, narrow) ignore the bound.
 // Miss rows are built in buffers recycled from rows the cache dropped
 // (SourceDistanceCache::TakeSpareRow), so row churn does not keep
 // faulting in fresh memory.
@@ -83,6 +90,11 @@ class CachedSsspEngine : public GphiEngine {
   void Prepare(const IndexedVertexSet& query_points) override;
   bool BindWeights(std::span<const double> weights) override;
   GphiResult Evaluate(VertexId p, size_t k, Aggregate aggregate) override;
+  /// Uses `bound` only where the row is bounded by Q anyway (an absent
+  /// source once its shard is full, and every row without a cache); see
+  /// the header comment.
+  GphiResult EvaluateBounded(VertexId p, size_t k, Aggregate aggregate,
+                             Weight bound) override;
   /// Reserves the Dijkstra frontier for a full-graph search (see
   /// DijkstraSearch::ReserveFullSearch), making miss-path SSSP
   /// computations regrowth-free from the first call.
@@ -107,6 +119,10 @@ class CachedSsspEngine : public GphiEngine {
   const ProbeCounters& probe_counters() const { return probes_; }
 
  private:
+  // True when a member of Q lies beyond `radius` in `row`: the row
+  // stopped on the caller's bound, not on Q.
+  bool BeyondRadius(const std::vector<Weight>& row, Weight radius) const;
+
   const Graph& graph_;
   std::shared_ptr<SourceDistanceCache> cache_;
   DijkstraSearch search_;

@@ -89,7 +89,7 @@ std::shared_ptr<const std::vector<Weight>> SourceDistanceCache::Lookup(
 
 std::shared_ptr<const std::vector<Weight>> SourceDistanceCache::Insert(
     VertexId source, GraphEpoch epoch, std::vector<Weight> distances,
-    Weight radius) {
+    Weight radius, bool pruned) {
   // Rows dropped here are released after the shard is unlocked.
   std::shared_ptr<std::vector<Weight>> dropped;
   std::shared_ptr<const std::vector<Weight>> resident;
@@ -97,6 +97,7 @@ std::shared_ptr<const std::vector<Weight>> SourceDistanceCache::Insert(
     Shard& shard = ShardOf(source);
     std::lock_guard<std::mutex> lock(shard.mu);
     if (radius != kInfWeight) ++shard.bounded_rows;
+    if (pruned) ++shard.pruned_rows;
     auto it = shard.map.find(source);
     if (it != shard.map.end()) {
       Shard::Slot& slot = it->second;
@@ -174,6 +175,7 @@ SourceDistanceCache::Stats SourceDistanceCache::stats() const {
     total.epoch_evictions += shard.epoch_evictions;
     total.narrow_misses += shard.narrow_misses;
     total.bounded_rows += shard.bounded_rows;
+    total.pruned_rows += shard.pruned_rows;
   }
   return total;
 }

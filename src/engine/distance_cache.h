@@ -81,6 +81,9 @@ class SourceDistanceCache {
     size_t epoch_evictions = 0;  ///< Lazy reclaims of epoch-stale entries.
     size_t narrow_misses = 0;    ///< Resident rows too narrow for the Q.
     size_t bounded_rows = 0;     ///< Inserts of rows with a finite radius.
+    /// Bounded rows that stopped on a caller's g_phi bound before
+    /// serving Q (a subset of bounded_rows).
+    size_t pruned_rows = 0;
   };
 
   /// What a Lookup found for its source.
@@ -118,10 +121,12 @@ class SourceDistanceCache {
   /// which case it replaces the resident row; if resident at a DIFFERENT
   /// epoch the stale entry is replaced (counted in
   /// Stats::epoch_evictions). The resident vector is returned either
-  /// way; it serves every target the inserted row served.
+  /// way; it serves every target the inserted row served. `pruned`
+  /// marks a row that stopped on a caller's g_phi bound (counted in
+  /// Stats::pruned_rows); it is stored like any other row.
   std::shared_ptr<const std::vector<Weight>> Insert(
       VertexId source, GraphEpoch epoch, std::vector<Weight> distances,
-      Weight radius = kInfWeight);
+      Weight radius = kInfWeight, bool pruned = false);
 
   /// Storage for the next row a miss computes: a recycled row's buffer
   /// (its contents are garbage) or, when the pool is empty, an empty
@@ -184,6 +189,7 @@ class SourceDistanceCache {
     size_t epoch_evictions = 0;
     size_t narrow_misses = 0;
     size_t bounded_rows = 0;
+    size_t pruned_rows = 0;
   };
 
   Shard& ShardOf(VertexId source) {

@@ -11,7 +11,11 @@ FannResult SolveGd(const FannQuery& query, GphiEngine& engine) {
 
   FannResult best;
   for (VertexId p : query.data_points->members()) {
-    GphiResult r = engine.Evaluate(p, k, query.aggregate);
+    // A p that cannot beat the running best may come back pruned
+    // (distance kInfWeight), which the test below skips like an
+    // unreachable one.
+    GphiResult r =
+        engine.EvaluateBounded(p, k, query.aggregate, best.distance);
     ++best.gphi_evaluations;
     if (r.distance == kInfWeight) continue;
     // Canonical (distance, vertex id) order: exact-distance ties go to

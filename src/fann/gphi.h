@@ -61,6 +61,19 @@ class GphiEngine {
   /// Computes g_phi(p, Q) with subset size k. Requires a prior Prepare().
   virtual GphiResult Evaluate(VertexId p, size_t k, Aggregate aggregate) = 0;
 
+  /// Evaluate for a caller that only needs g_phi(p, Q) when p can still
+  /// beat `bound` (its running best, or k-th best): returns either
+  /// Evaluate's exact result or, when the engine has shown
+  /// PruneBoundExceeds(lower bound, bound) and so g_phi(p, Q) > bound,
+  /// {kInfWeight, {}}, which every solver treats as "cannot win". A p
+  /// at exactly the bound is never pruned, so the (distance, vertex id)
+  /// tie-break sees it. The default forwards to Evaluate.
+  virtual GphiResult EvaluateBounded(VertexId p, size_t k,
+                                     Aggregate aggregate, Weight bound) {
+    (void)bound;
+    return Evaluate(p, k, aggregate);
+  }
+
   /// Binds per-query-point weights (aligned with the Prepare()d Q) so
   /// subsequent Evaluate() calls select and fold w_i * d(p, q_i) instead
   /// of raw distances. Call after Prepare() (which clears any previous

@@ -112,7 +112,8 @@ FannResult SolveIer(const FannQuery& query, GphiEngine& engine,
     if (PruneBoundExceeds(top.bound, best.distance)) break;
     heap.pop();
     if (top.is_point) {
-      GphiResult r = engine.Evaluate(top.vertex, k, query.aggregate);
+      GphiResult r = engine.EvaluateBounded(top.vertex, k, query.aggregate,
+                                            best.distance);
       ++best.gphi_evaluations;
       if (r.distance < best.distance ||
           (r.distance != kInfWeight && r.distance == best.distance &&

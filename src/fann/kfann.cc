@@ -80,7 +80,8 @@ std::vector<KFannEntry> SolveKGd(const FannQuery& query, size_t k_results,
               "engine cannot honor per-query-point weights");
   TopK top(k_results);
   for (VertexId p : query.data_points->members()) {
-    GphiResult r = engine.Evaluate(p, k, query.aggregate);
+    GphiResult r =
+        engine.EvaluateBounded(p, k, query.aggregate, top.WorstBound());
     if (r.distance == kInfWeight) continue;
     top.Offer({p, r.distance, std::move(r.subset)});
   }
@@ -153,7 +154,8 @@ std::vector<KFannEntry> SolveKRList(const FannQuery& query,
     const uint32_t p_index = query.data_points->IndexOf(hit->vertex);
     if (!evaluated[p_index]) {
       evaluated[p_index] = true;
-      GphiResult r = engine.Evaluate(hit->vertex, k, query.aggregate);
+      GphiResult r = engine.EvaluateBounded(hit->vertex, k, query.aggregate,
+                                            top.WorstBound());
       if (r.distance != kInfWeight) {
         top.Offer({hit->vertex, r.distance, std::move(r.subset)});
       }
@@ -205,7 +207,8 @@ std::vector<KFannEntry> SolveKIer(const FannQuery& query, size_t k_results,
     if (PruneBoundExceeds(e.bound, top.WorstBound())) break;
     heap.pop();
     if (e.is_point) {
-      GphiResult r = engine.Evaluate(e.vertex, k, query.aggregate);
+      GphiResult r = engine.EvaluateBounded(e.vertex, k, query.aggregate,
+                                            top.WorstBound());
       if (r.distance != kInfWeight) {
         top.Offer({e.vertex, r.distance, std::move(r.subset)});
       }

@@ -83,7 +83,8 @@ FannResult SolveRList(const FannQuery& query, GphiEngine& engine,
     const uint32_t p_index = query.data_points->IndexOf(hit->vertex);
     if (!evaluated[p_index]) {
       evaluated[p_index] = true;
-      GphiResult r = engine.Evaluate(hit->vertex, k, query.aggregate);
+      GphiResult r = engine.EvaluateBounded(hit->vertex, k, query.aggregate,
+                                            best.distance);
       ++best.gphi_evaluations;
       if (r.distance < best.distance ||
           (r.distance != kInfWeight && r.distance == best.distance &&

@@ -844,6 +844,7 @@ std::string FannServer::StatsJson() const {
          ", \"epoch_evictions\": " + std::to_string(cache.epoch_evictions) +
          ", \"narrow_misses\": " + std::to_string(cache.narrow_misses) +
          ", \"bounded_rows\": " + std::to_string(cache.bounded_rows) +
+         ", \"pruned_rows\": " + std::to_string(cache.pruned_rows) +
          "}\n}";
   return out;
 }

@@ -104,6 +104,7 @@ std::string BatchReport::ToJson(int indent) const {
          ", \"epoch_evictions\": " + std::to_string(cache.epoch_evictions) +
          ", \"narrow_misses\": " + std::to_string(cache.narrow_misses) +
          ", \"bounded_rows\": " + std::to_string(cache.bounded_rows) +
+         ", \"pruned_rows\": " + std::to_string(cache.pruned_rows) +
          ", \"resident_entries\": " + std::to_string(cache_entries) + "},\n";
   out += in + "\"attributed_cache_hits\": " +
          std::to_string(attributed_cache_hits) + ",\n";

@@ -157,14 +157,16 @@ class TracingGphiEngine : public GphiEngine {
   }
 
   GphiResult Evaluate(VertexId p, size_t k, Aggregate aggregate) override {
-    if (trace_ == nullptr) return inner_.Evaluate(p, k, aggregate);
-    const size_t call = trace_->gphi_evaluate_calls++;
-    if (call % kEvaluateSamplePeriod != 0) {
-      return inner_.Evaluate(p, k, aggregate);
-    }
-    ++trace_->gphi_evaluate_timed_calls;
-    ScopedTimerMs t(&trace_->gphi_evaluate_ms);
-    return inner_.Evaluate(p, k, aggregate);
+    return Sampled([&] { return inner_.Evaluate(p, k, aggregate); });
+  }
+
+  // Forwarded as a bounded call: falling back to the default (an
+  // unbounded Evaluate) would keep the answers but lose every pruned
+  // row, and the server runs every job through this wrapper.
+  GphiResult EvaluateBounded(VertexId p, size_t k, Aggregate aggregate,
+                             Weight bound) override {
+    return Sampled(
+        [&] { return inner_.EvaluateBounded(p, k, aggregate, bound); });
   }
 
   // Pure forwarding: prewarming is part of construction, not solving,
@@ -174,6 +176,19 @@ class TracingGphiEngine : public GphiEngine {
   std::string_view name() const override { return inner_.name(); }
 
  private:
+  // Runs one Evaluate-family call, timing it into the trace on the
+  // sampling period.
+  template <typename Call>
+  GphiResult Sampled(Call call) {
+    if (trace_ == nullptr) return call();
+    if (trace_->gphi_evaluate_calls++ % kEvaluateSamplePeriod != 0) {
+      return call();
+    }
+    ++trace_->gphi_evaluate_timed_calls;
+    ScopedTimerMs t(&trace_->gphi_evaluate_ms);
+    return call();
+  }
+
   // Scales the sampled Evaluate-time sum up to all calls. Idempotent per
   // trace because set_trace detaches the trace it finalizes.
   void FinalizeTrace() {

@@ -21,6 +21,24 @@ using MinHeap = FlatHeap<HeapEntry>;
 // End of a bucket list or of the free list.
 constexpr uint32_t kNoEntry = std::numeric_limits<uint32_t>::max();
 
+// The O(1) half of the best-bounded stop rule: the k-subset fold at
+// radius r is at most reach * r (k products of at most max w_i * r,
+// summed for sum; the margin covers their rounding), so while
+// reach * r <= stop.bound the fold need not run. 0 when nothing prunes:
+// a full row, or an infinite bound.
+Weight PruneReach(const std::span<const VertexId>* targets,
+                  const GphiBound& stop) {
+  if (targets == nullptr || stop.bound == kInfWeight) return 0.0;
+  FANNR_CHECK(stop.bound >= 0.0);
+  FANNR_CHECK(stop.k >= 1 && stop.k <= targets->size());
+  FANNR_CHECK(stop.weights.empty() || stop.weights.size() == targets->size());
+  Weight w_max = stop.weights.empty() ? 1.0 : 0.0;
+  for (double w : stop.weights) w_max = std::max(w_max, w);
+  const Weight terms =
+      stop.aggregate == Aggregate::kSum ? static_cast<Weight>(stop.k) : 1.0;
+  return terms * w_max * (1.0 + 1e-6);
+}
+
 }  // namespace
 
 std::vector<Weight> DijkstraSssp(const Graph& graph, VertexId source) {
@@ -179,18 +197,35 @@ Weight DijkstraSearch::Distance(VertexId source, VertexId target) {
 }
 
 void DijkstraSearch::SsspInto(VertexId source, std::vector<Weight>& out) {
-  SsspRow(source, nullptr, out);
+  SsspRow(source, nullptr, GphiBound{}, out);
 }
 
 Weight DijkstraSearch::SsspInto(VertexId source,
                                 std::span<const VertexId> targets,
-                                std::vector<Weight>& out) {
+                                std::vector<Weight>& out,
+                                const GphiBound& stop) {
   for (VertexId t : targets) FANNR_CHECK(t < graph_.NumVertices());
-  return SsspRow(source, &targets, out);
+  return SsspRow(source, &targets, stop, out);
+}
+
+bool DijkstraSearch::Prunes(std::span<const VertexId> targets,
+                            const GphiBound& stop,
+                            const std::vector<Weight>& out, Weight radius) {
+  // A target within the radius is final; one beyond it is farther than
+  // the radius, so the radius stands in for it.
+  fold_.resize(targets.size());
+  for (size_t i = 0; i < targets.size(); ++i) {
+    const Weight d = std::min(out[targets[i]], radius);
+    fold_[i] = stop.weights.empty() ? d : d * stop.weights[i];
+  }
+  std::partial_sort(fold_.begin(), fold_.begin() + stop.k, fold_.end());
+  return PruneBoundExceeds(FoldSorted(fold_.data(), stop.k, stop.aggregate),
+                           stop.bound);
 }
 
 Weight DijkstraSearch::SsspRow(VertexId source,
                                const std::span<const VertexId>* targets,
+                               const GphiBound& stop,
                                std::vector<Weight>& out) {
   FANNR_CHECK(source < graph_.NumVertices());
   // A full SSSP writes every vertex, so `out` itself serves as the
@@ -199,13 +234,15 @@ Weight DijkstraSearch::SsspRow(VertexId source,
   // a bounded search needs the kInfWeight fill too, as the label of
   // every vertex it never reaches.
   out.assign(graph_.NumVertices(), kInfWeight);
-  return RefreshBuckets() ? SsspBuckets(source, targets, out)
-                          : SsspHeap(source, targets, out);
+  return RefreshBuckets() ? SsspBuckets(source, targets, stop, out)
+                          : SsspHeap(source, targets, stop, out);
 }
 
 Weight DijkstraSearch::SsspBuckets(VertexId source,
                                    const std::span<const VertexId>* targets,
+                                   const GphiBound& stop,
                                    std::vector<Weight>& out) {
+  const Weight reach = PruneReach(targets, stop);
   const Weight inv_width = inv_width_;
   const uint64_t mask = ring_mask_;
   uint32_t* const head = slot_head_.data();
@@ -273,12 +310,15 @@ Weight DijkstraSearch::SsspBuckets(VertexId source,
            out[(*targets)[final_targets]] * inv_width < bound) {
       ++final_targets;
     }
-    if (final_targets < targets->size()) continue;
+    const bool all_final = final_targets == targets->size();
     // The radius: the largest d with d * inv_width < bound. Rounded
     // multiplication is monotone in d, so step from bound / inv_width
     // to the edge one double at a time (a few steps at most).
     Weight radius = bound / inv_width;
     if (!std::isfinite(radius)) continue;
+    // bound / inv_width is the radius to within the steps below, which
+    // reach's margin covers.
+    if (!all_final && !(reach * radius > stop.bound)) continue;
     while (radius > 0.0 && radius * inv_width >= bound) {
       radius = std::nextafter(radius, 0.0);
     }
@@ -286,6 +326,7 @@ Weight DijkstraSearch::SsspBuckets(VertexId source,
          up * inv_width < bound; up = std::nextafter(up, kInfWeight)) {
       radius = up;
     }
+    if (!all_final && !Prunes(*targets, stop, out, radius)) continue;
     slots_dirty_ = true;
     return radius;
   }
@@ -294,7 +335,9 @@ Weight DijkstraSearch::SsspBuckets(VertexId source,
 
 Weight DijkstraSearch::SsspHeap(VertexId source,
                                 const std::span<const VertexId>* targets,
+                                const GphiBound& stop,
                                 std::vector<Weight>& out) {
+  const Weight reach = PruneReach(targets, stop);
   heap_.clear();
   out[source] = 0.0;
   heap_.push({0.0, source});
@@ -309,6 +352,10 @@ Weight DijkstraSearch::SsspHeap(VertexId source,
       }
       if (final_targets == targets->size()) {
         return std::nextafter(d, -kInfWeight);
+      }
+      if (reach * d > stop.bound) {
+        const Weight radius = std::nextafter(d, -kInfWeight);
+        if (Prunes(*targets, stop, out, radius)) return radius;
       }
     }
     heap_.pop();

@@ -20,6 +20,7 @@
 
 #include "common/flat_heap.h"
 #include "common/timestamped.h"
+#include "fann/aggregate.h"
 #include "graph/graph.h"
 
 namespace fannr {
@@ -42,6 +43,18 @@ SsspTree DijkstraSsspTree(const Graph& graph, VertexId source);
 /// point-to-point Dijkstra with parent tracking and early termination.
 std::vector<VertexId> ShortestPath(const Graph& graph, VertexId source,
                                    VertexId target);
+
+/// A caller's stop rule for the bounded SsspInto: the caller folds the
+/// k smallest w_i * d(source, targets[i]) with `aggregate` (g_phi, see
+/// fann/gphi.h) and only needs the row while that fold can still be at
+/// most `bound`. `weights` is aligned with the targets; empty means
+/// every w_i is 1. The default never stops a search.
+struct GphiBound {
+  Weight bound = kInfWeight;
+  size_t k = 1;
+  Aggregate aggregate = Aggregate::kMax;
+  std::span<const double> weights;
+};
 
 /// Reusable Dijkstra engine bound to one graph. Not thread-safe; create
 /// one per thread.
@@ -112,8 +125,30 @@ class DijkstraSearch {
   /// queue, checked between buckets, the largest d with
   /// d * (1 / w_min) below the next open bucket's id, since every
   /// queued entry in bucket b has d * (1 / w_min) >= b.
+  ///
+  /// Best-bounded rows: with a finite `stop.bound` the search also stops,
+  /// at the same check points and with the same radius rule, once the
+  /// k-subset lower bound at radius r exceeds the bound, i.e.
+  /// PruneBoundExceeds(lb, stop.bound). lb is the fold of the k smallest
+  /// of w_i * min(out[t_i], r): a target within r holds its final
+  /// label, one beyond r has true distance > r. Such a row leaves some
+  /// target beyond its radius, which is how a caller tells it was
+  /// pruned; within r it is as exact as any other bounded row. While
+  /// (k for sum, 1 for max) * max w_i * r cannot exceed the bound only
+  /// that O(1) test runs, not the O(|targets|) fold. With the default
+  /// `stop` the row is the one above, bit for bit.
+  ///
+  /// Why a pruned p never changes a solver's answer: the values folded
+  /// are the exact w_i * d_i or smaller ones (w_i > 0, rounding is
+  /// monotone), and they are summed smallest first, as SelectAndFold
+  /// sums the true k nearest, so every partial sum, and lb, is at most
+  /// the g_phi(p) a full row gives, bit for bit. A pruned p thus has
+  /// g_phi(p) > bound * (1 + 1e-12) >= bound: it loses to a candidate
+  /// at the bound outright, even one with a larger vertex id, and a p
+  /// at exactly the bound (which could still win the tie-break) is
+  /// never pruned.
   Weight SsspInto(VertexId source, std::span<const VertexId> targets,
-                  std::vector<Weight>& out);
+                  std::vector<Weight>& out, const GphiBound& stop = {});
 
   /// Grows the frontier to the worst case of a full search up front:
   /// lazy-deletion Dijkstra pushes once per strict improvement, at most
@@ -143,12 +178,16 @@ class DijkstraSearch {
   // Full row when `targets` is null; otherwise the bounded search,
   // returning its radius.
   Weight SsspRow(VertexId source, const std::span<const VertexId>* targets,
-                 std::vector<Weight>& out);
+                 const GphiBound& stop, std::vector<Weight>& out);
   Weight SsspBuckets(VertexId source,
                      const std::span<const VertexId>* targets,
-                     std::vector<Weight>& out);
+                     const GphiBound& stop, std::vector<Weight>& out);
   Weight SsspHeap(VertexId source, const std::span<const VertexId>* targets,
-                  std::vector<Weight>& out);
+                  const GphiBound& stop, std::vector<Weight>& out);
+  // True when the k-subset lower bound of `stop` at radius r exceeds
+  // its bound (see the bounded SsspInto).
+  bool Prunes(std::span<const VertexId> targets, const GphiBound& stop,
+              const std::vector<Weight>& out, Weight radius);
 
   const Graph& graph_;
   TimestampedArray<Weight> dist_;
@@ -172,6 +211,7 @@ class DijkstraSearch {
   uint32_t free_head_ = 0;
   FlatHeap<uint64_t> open_;
   bool slots_dirty_ = false;
+  std::vector<Weight> fold_;  // Prunes' k-subset values
 };
 
 }  // namespace fannr

@@ -23,7 +23,8 @@
 //
 // Violations come back as human-readable strings (empty = scenario
 // passed). MinimizeScenario greedily shrinks a failing scenario while
-// preserving at least one violation, for committing to tests/corpus/.
+// preserving at least one violation that replays deterministically, for
+// committing to tests/corpus/.
 
 #ifndef FANNR_TESTING_DIFFERENTIAL_H_
 #define FANNR_TESTING_DIFFERENTIAL_H_
@@ -47,6 +48,12 @@ struct DifferentialOptions {
   bool check_batch = true;
   size_t batch_threads = 3;
 
+  /// Include the `batch_threads`-thread engine (on a 2-entry cache)
+  /// in the batch check. Its workers share the cache in a
+  /// scheduling-dependent order, so a violation only it shows may not
+  /// come back on a rerun; every other check is deterministic.
+  bool check_multi_thread_batch = true;
+
   /// Metamorphic invariants (phi-monotonicity, permutation and rerun
   /// invariance, k-prefix consistency).
   bool check_invariants = true;
@@ -66,8 +73,12 @@ std::vector<std::string> RunDifferentialChecks(
 
 /// Greedily shrinks a failing scenario (drops P/Q members, lowers
 /// k_results, narrows the aggregate mode) while RunDifferentialChecks
-/// still reports a violation. Returns `scenario` unchanged when it does
-/// not fail. `max_evaluations` bounds the number of checker runs.
+/// still reports a violation. A candidate counts as failing only when
+/// the checks without the multi-threaded batch engine fail, so every
+/// scenario it keeps fails on each replay under `options`; a scenario
+/// whose violations only that engine's scheduling shows is returned
+/// unchanged, as is one that does not fail. `max_evaluations` bounds
+/// the number of checker runs.
 Scenario MinimizeScenario(const Scenario& scenario,
                           const DifferentialOptions& options = {},
                           size_t max_evaluations = 300);

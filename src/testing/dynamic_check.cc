@@ -221,17 +221,29 @@ std::vector<std::string> RunDynamicUpdateChecks(
       }
     }
 
+    // The kernel's best-bounded rows stop on each aggregate's oracle
+    // optimum at this epoch.
+    std::vector<std::vector<OracleEntry>> rankings;
+    std::vector<GphiBound> stops;
+    for (Aggregate aggregate : aggregates) {
+      rankings.push_back(OracleRanking(graph, scenario.p, scenario.q,
+                                       scenario.phi, aggregate));
+      if (rankings.back().empty()) continue;
+      stops.push_back({rankings.back().front().distance,
+                       FlexK(scenario.phi, scenario.q.size()), aggregate,
+                       {}});
+    }
     for (VertexId p : SsspKernelMismatches(kernel_search, scenario.p,
-                                              scenario.q)) {
+                                              scenario.q, stops)) {
       report.Add(wave_label + ": SsspInto row from p=" + std::to_string(p) +
                  " differs bitwise from DijkstraSssp");
     }
 
-    for (Aggregate aggregate : aggregates) {
+    for (size_t ai = 0; ai < aggregates.size(); ++ai) {
+      const Aggregate aggregate = aggregates[ai];
       const std::string label =
           wave_label + " [" + std::string(AggregateName(aggregate)) + "]";
-      const auto ranking = OracleRanking(graph, scenario.p, scenario.q,
-                                         scenario.phi, aggregate);
+      const std::vector<OracleEntry>& ranking = rankings[ai];
       FannQuery query{&graph, &p_set, &q_set, scenario.phi, aggregate};
 
       // Sequential index-free reference.

@@ -52,12 +52,23 @@ std::vector<OracleEntry> OracleRanking(const Graph& graph,
 
 std::vector<VertexId> SsspKernelMismatches(
     DijkstraSearch& search, const std::vector<VertexId>& sources,
-    const std::vector<VertexId>& targets) {
+    const std::vector<VertexId>& targets,
+    std::span<const GphiBound> stops) {
   std::vector<VertexId> mismatched;
   std::vector<Weight> row;
   const auto same_bits = [](Weight a, Weight b) {
     return std::memcmp(&a, &b, sizeof(Weight)) == 0;
   };
+  // Exact within the radius, beyond it everywhere else.
+  const auto exact_within = [&](const std::vector<Weight>& want,
+                                Weight radius) {
+    bool ok = row.size() == want.size();
+    for (size_t v = 0; ok && v < want.size(); ++v) {
+      ok = want[v] <= radius ? same_bits(row[v], want[v]) : row[v] > radius;
+    }
+    return ok;
+  };
+  std::vector<Weight> folded;
   for (VertexId source : sources) {
     const std::vector<Weight> want = DijkstraSssp(search.graph(), source);
     search.SsspInto(source, row);
@@ -65,10 +76,25 @@ std::vector<VertexId> SsspKernelMismatches(
               std::memcmp(row.data(), want.data(),
                           want.size() * sizeof(Weight)) == 0;
     const Weight radius = search.SsspInto(source, targets, row);
-    ok = ok && row.size() == want.size();
     for (VertexId t : targets) ok = ok && want[t] <= radius;
-    for (size_t v = 0; ok && v < want.size(); ++v) {
-      ok = want[v] <= radius ? same_bits(row[v], want[v]) : row[v] > radius;
+    ok = ok && exact_within(want, radius);
+    for (const GphiBound& stop : stops) {
+      const Weight stop_radius = search.SsspInto(source, targets, row, stop);
+      ok = ok && exact_within(want, stop_radius);
+      const bool pruned =
+          std::any_of(targets.begin(), targets.end(),
+                      [&](VertexId t) { return want[t] > stop_radius; });
+      if (!ok || !pruned) continue;
+      // The source's g_phi from the reference row, folded smallest
+      // first as SelectAndFold folds it.
+      folded.clear();
+      for (size_t i = 0; i < targets.size(); ++i) {
+        const Weight d = want[targets[i]];
+        folded.push_back(stop.weights.empty() ? d : d * stop.weights[i]);
+      }
+      std::sort(folded.begin(), folded.end());
+      ok = PruneBoundExceeds(
+          FoldSorted(folded.data(), stop.k, stop.aggregate), stop.bound);
     }
     if (!ok) mismatched.push_back(source);
   }

@@ -11,6 +11,7 @@
 #ifndef FANNR_TESTING_ORACLE_H_
 #define FANNR_TESTING_ORACLE_H_
 
+#include <span>
 #include <vector>
 
 #include "fann/aggregate.h"
@@ -47,16 +48,22 @@ std::vector<OracleEntry> OracleRanking(const Graph& graph,
 
 /// The members of `sources` whose DijkstraSearch::SsspInto rows (run on
 /// `search`, reused across sources) disagree in any bit with the
-/// heap-based DijkstraSssp reference. Two rows per source: the full row
-/// must equal the reference; the row bounded by `targets` must serve
-/// every target (reference distance <= its radius), equal the reference
-/// on every vertex within the radius and exceed the radius everywhere
-/// else. The solver checks compare distances with a 1e-9 relative
-/// tolerance, which cannot see last-ulp drift in the cache's miss-path
-/// kernel; this check can.
+/// heap-based DijkstraSssp reference. Two rows per source, plus one per
+/// member of `stops`: the full row must equal the reference; the row
+/// bounded by `targets` must serve every target (reference distance <=
+/// its radius), equal the reference on every vertex within the radius
+/// and exceed the radius everywhere else. A best-bounded row (bounded
+/// by `targets` and a stop, whose weights align with `targets`) must
+/// hold the same radius property, and may leave a target beyond its
+/// radius only when the reference g_phi of the source exceeds the
+/// stop's bound (PruneBoundExceeds), so a source at exactly the bound
+/// is never pruned. The solver checks compare distances with a 1e-9
+/// relative tolerance, which cannot see last-ulp drift in the cache's
+/// miss-path kernel; this check can.
 std::vector<VertexId> SsspKernelMismatches(
     DijkstraSearch& search, const std::vector<VertexId>& sources,
-    const std::vector<VertexId>& targets);
+    const std::vector<VertexId>& targets,
+    std::span<const GphiBound> stops = {});
 
 }  // namespace fannr::testing
 

@@ -218,6 +218,41 @@ TEST(BatchTraceTest, BatchReportConsistency) {
   EXPECT_EQ(engine.last_report().rejected, 0u);
 }
 
+TEST(BatchTraceTest, TracedJobsKeepTheirBestBoundedRows) {
+  // Every job runs through the tracing wrapper under enable_metrics, so
+  // the wrapper must pass each solver's bound on: the same rows stop on
+  // it (pruned_rows) as without tracing, and the answers agree bitwise.
+  const auto& world = testing::FannWorld::Get();
+  SmallBatch batch(world.graph(), 8);
+  std::vector<FannResult> results[2];
+  size_t pruned_rows[2] = {};
+  for (bool traced : {false, true}) {
+    BatchOptions options;
+    options.num_threads = 1;
+    options.cache_capacity = 2;  // full from the third miss on
+    options.enable_metrics = traced;
+    BatchQueryEngine engine(world.Resources(), options);
+    results[traced] = engine.Run(batch.jobs);
+    pruned_rows[traced] = engine.cache_stats().pruned_rows;
+    if (traced) {
+      EXPECT_EQ(engine.last_report().cache.pruned_rows, pruned_rows[traced]);
+      EXPECT_NE(engine.last_report().ToJson().find("\"pruned_rows\""),
+                std::string::npos);
+    }
+  }
+  EXPECT_GT(pruned_rows[false], 0u);
+  EXPECT_EQ(pruned_rows[true], pruned_rows[false]);
+  ASSERT_EQ(results[true].size(), results[false].size());
+  for (size_t i = 0; i < results[true].size(); ++i) {
+    EXPECT_EQ(results[true][i].best, results[false][i].best);
+    EXPECT_EQ(std::bit_cast<uint64_t>(results[true][i].distance),
+              std::bit_cast<uint64_t>(results[false][i].distance));
+    EXPECT_EQ(results[true][i].subset, results[false][i].subset);
+    EXPECT_EQ(results[true][i].gphi_evaluations,
+              results[false][i].gphi_evaluations);
+  }
+}
+
 TEST(BatchTraceTest, SlowQueryLogPersistsAcrossRuns) {
   const auto& world = testing::FannWorld::Get();
   SmallBatch batch(world.graph(), 3);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -493,6 +494,223 @@ TEST(SsspIntoBoundedTest, WeightUpdateBetweenSearchesOnOneObject) {
   check_epoch("w_max widened (ring)");
   apply(9, 10, 0.6);  // a narrower width
   check_epoch("w_min lowered (ring)");
+}
+
+// --- The best-bounded SsspInto, against the heap reference -------------
+// A best-bounded row must hold the bounded row's radius property and
+// may leave a target beyond its radius (be pruned) only when the
+// source's g_phi, folded from the reference row, exceeds the bound.
+
+// g_phi(source) from the reference row, folded smallest first as
+// SelectAndFold folds it.
+Weight ReferenceGphi(const std::vector<Weight>& want,
+                     const std::vector<VertexId>& targets,
+                     const GphiBound& stop) {
+  std::vector<Weight> folded;
+  for (size_t i = 0; i < targets.size(); ++i) {
+    const Weight d = want[targets[i]];
+    folded.push_back(stop.weights.empty() ? d : d * stop.weights[i]);
+  }
+  std::sort(folded.begin(), folded.end());
+  return FoldSorted(folded.data(), stop.k, stop.aggregate);
+}
+
+// Runs the best-bounded row of `source` (whose reference row is
+// `want`), checks it and returns whether it was pruned; `radius_out`
+// receives its radius.
+bool ExpectBestBoundedRow(DijkstraSearch& search, VertexId source,
+                          const std::vector<Weight>& want,
+                          const std::vector<VertexId>& targets,
+                          const GphiBound& stop,
+                          Weight* radius_out = nullptr) {
+  std::vector<Weight> row;
+  const Weight radius = search.SsspInto(source, targets, row, stop);
+  if (radius_out != nullptr) *radius_out = radius;
+  EXPECT_EQ(row.size(), want.size());
+  size_t wrong = 0;
+  for (size_t v = 0; v < want.size() && v < row.size(); ++v) {
+    const bool ok = want[v] <= radius
+                        ? std::memcmp(&row[v], &want[v], sizeof(Weight)) == 0
+                        : row[v] > radius;
+    wrong += ok ? 0 : 1;
+  }
+  EXPECT_EQ(wrong, 0u) << "source " << source << ", radius " << radius;
+  bool pruned = false;
+  for (VertexId t : targets) pruned = pruned || want[t] > radius;
+  if (pruned) {
+    EXPECT_TRUE(PruneBoundExceeds(ReferenceGphi(want, targets, stop),
+                                  stop.bound))
+        << "source " << source << " pruned at bound " << stop.bound;
+  }
+  return pruned;
+}
+
+TEST(SsspIntoPrunedTest, SumMaxAndWeightedOnTestPresetAndRandomNetworks) {
+  const Graph preset = BuildPreset("TEST");
+  const Graph net7 = testing::MakeRandomNetwork(400, 7);
+  const Graph net8 = testing::MakeRandomNetwork(400, 8);
+  Rng rng(91);
+  for (const Graph* g : {&preset, &net7, &net8}) {
+    DijkstraSearch search(*g);
+    size_t rows = 0;
+    size_t pruned = 0;
+    for (size_t q_size : {4u, 8u, 16u}) {
+      const auto targets = testing::SampleVertices(*g, q_size, rng);
+      std::vector<double> weights;
+      for (size_t i = 0; i < q_size; ++i) {
+        weights.push_back(rng.NextDouble(0.5, 4.0));
+      }
+      const auto sources = testing::SampleVertices(*g, 12, rng);
+      std::vector<std::vector<Weight>> wants;
+      for (VertexId s : sources) wants.push_back(DijkstraSssp(*g, s));
+      for (Aggregate aggregate : {Aggregate::kMax, Aggregate::kSum}) {
+        for (size_t k : {size_t{1}, q_size / 2, q_size}) {
+          for (bool weighted : {false, true}) {
+            GphiBound stop{kInfWeight, k, aggregate, {}};
+            if (weighted) stop.weights = weights;
+            // The bound a GD over these sources ends with.
+            for (const auto& want : wants) {
+              stop.bound =
+                  std::min(stop.bound, ReferenceGphi(want, targets, stop));
+            }
+            for (size_t i = 0; i < sources.size(); ++i) {
+              pruned += ExpectBestBoundedRow(search, sources[i], wants[i],
+                                             targets, stop)
+                            ? 1
+                            : 0;
+              ++rows;
+            }
+          }
+        }
+      }
+    }
+    // Most sources cannot beat the best, and most of those stop early.
+    EXPECT_GT(pruned, rows / 2) << g->NumVertices() << " vertices";
+  }
+}
+
+TEST(SsspIntoPrunedTest, ExactTieWithTheBoundIsNotPruned) {
+  // Unit weights: many sources share one g_phi, and the k nearest
+  // targets are final well before the farthest, so the lower bound
+  // reaches g_phi exactly while the search still runs.
+  const Graph ties = MakeWeightedGrid(12, 12, [] { return 1.0; });
+  ASSERT_TRUE(RingFits(ties));
+  // Past 2^60 a unit edge is absorbed: plateaus on the heap side.
+  GraphBuilder builder(40);
+  builder.AddEdge(0, 1, std::ldexp(1.0, 60));
+  for (VertexId v = 1; v < 39; ++v) builder.AddEdge(v, v + 1, 1.0);
+  builder.AddEdge(39, 1, 3.0);
+  builder.AddEdge(0, 20, std::ldexp(1.0, 60) + 512.0);
+  const Graph sub_ulp = builder.Build();
+  ASSERT_FALSE(RingFits(sub_ulp));
+  const std::vector<double> weights = {1.0, 2.0, 0.5, 3.0, 1.0, 1.5};
+  for (const Graph* g : {&ties, &sub_ulp}) {
+    DijkstraSearch search(*g);
+    const std::vector<VertexId> targets = {0, 5, 17, 23, 30, 38};
+    for (VertexId source : AllVertices(*g)) {
+      const std::vector<Weight> want = DijkstraSssp(*g, source);
+      std::vector<Weight> bounded;
+      const Weight bounded_radius = search.SsspInto(source, targets, bounded);
+      for (Aggregate aggregate : {Aggregate::kMax, Aggregate::kSum}) {
+        for (size_t k : {size_t{1}, size_t{3}, size_t{6}}) {
+          for (bool weighted : {false, true}) {
+            GphiBound stop{kInfWeight, k, aggregate, {}};
+            if (weighted) stop.weights = weights;
+            stop.bound = ReferenceGphi(want, targets, stop);
+            Weight radius = 0.0;
+            EXPECT_FALSE(ExpectBestBoundedRow(search, source, want, targets,
+                                              stop, &radius))
+                << "source " << source << " at its own g_phi";
+            // Never pruned, so it stops where the Q-bounded row stops.
+            EXPECT_EQ(std::memcmp(&radius, &bounded_radius, sizeof(Weight)),
+                      0);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SsspIntoPrunedTest, UnreachableTargetPrunesOrRunsToTheEnd) {
+  // Two components; vertex 30 has no arcs.
+  GraphBuilder builder(31);
+  Rng rng(9);
+  for (VertexId v = 0; v + 1 < 15; ++v) {
+    builder.AddEdge(v, v + 1, rng.NextDouble(1.0, 2.0));
+    builder.AddEdge(15 + v, 16 + v, rng.NextDouble(1.0, 2.0));
+  }
+  const Graph g = builder.Build();
+  ASSERT_TRUE(RingFits(g));
+  DijkstraSearch search(g);
+  const std::vector<VertexId> targets = {2, 20, 5, 30};
+  const std::vector<Weight> want = DijkstraSssp(g, 0);
+  // k = 3 needs an unreachable q: g_phi is infinite, so a finite bound
+  // prunes once the lower bound passes it.
+  EXPECT_TRUE(ExpectBestBoundedRow(
+      search, 0, want, targets, GphiBound{4.0, 3, Aggregate::kSum, {}}));
+  // k = 2 at its own finite g_phi: never pruned, and with an unreachable
+  // target never all final, so the search runs to the end.
+  GphiBound tie{kInfWeight, 2, Aggregate::kSum, {}};
+  tie.bound = ReferenceGphi(want, targets, tie);
+  ASSERT_LT(tie.bound, kInfWeight);
+  std::vector<Weight> row;
+  EXPECT_EQ(search.SsspInto(0, targets, row, tie), kInfWeight);
+  ASSERT_EQ(row.size(), want.size());
+  EXPECT_EQ(
+      std::memcmp(row.data(), want.data(), want.size() * sizeof(Weight)), 0);
+}
+
+TEST(SsspIntoPrunedTest, HeapSideStopsEarly) {
+  Rng rng(23);
+  const Graph wide = MakeWeightedGrid(10, 10, [&rng] {
+    return std::pow(10.0, rng.NextDouble(0.0, 12.0));
+  });
+  ASSERT_FALSE(RingFits(wide));
+  DijkstraSearch search(wide);
+  const auto targets = testing::SampleVertices(wide, 6, rng);
+  std::vector<std::vector<Weight>> wants;
+  for (VertexId s : AllVertices(wide)) wants.push_back(DijkstraSssp(wide, s));
+  for (Aggregate aggregate : {Aggregate::kMax, Aggregate::kSum}) {
+    GphiBound stop{kInfWeight, 3, aggregate, {}};
+    for (const auto& want : wants) {
+      stop.bound = std::min(stop.bound, ReferenceGphi(want, targets, stop));
+    }
+    size_t pruned = 0;
+    for (VertexId s : AllVertices(wide)) {
+      pruned += ExpectBestBoundedRow(search, s, wants[s], targets, stop);
+    }
+    EXPECT_GT(pruned, 50u) << AggregateName(aggregate);
+  }
+}
+
+TEST(SsspIntoPrunedTest, InfiniteBoundGivesTheBoundedRowBitForBit) {
+  Rng rng(5);
+  const Graph ring = testing::MakeRandomNetwork(300, 13);
+  const Graph heap = MakeWeightedGrid(10, 10, [&rng] {
+    return std::pow(10.0, rng.NextDouble(0.0, 12.0));
+  });
+  ASSERT_TRUE(RingFits(ring));
+  ASSERT_FALSE(RingFits(heap));
+  const std::vector<double> weights = {2.0, 0.5, 1.0, 3.0};
+  for (const Graph* g : {&ring, &heap}) {
+    DijkstraSearch search(*g);
+    std::vector<Weight> bounded;
+    std::vector<Weight> unpruned;
+    for (int i = 0; i < 40; ++i) {
+      const VertexId s = static_cast<VertexId>(rng.NextIndex(g->NumVertices()));
+      const auto targets = testing::SampleVertices(*g, 4, rng);
+      const Weight r = search.SsspInto(s, targets, bounded);
+      const Weight r_inf = search.SsspInto(
+          s, targets, unpruned,
+          GphiBound{kInfWeight, 2, Aggregate::kSum, weights});
+      EXPECT_EQ(std::memcmp(&r, &r_inf, sizeof(Weight)), 0);
+      ASSERT_EQ(bounded.size(), unpruned.size());
+      EXPECT_EQ(std::memcmp(bounded.data(), unpruned.data(),
+                            bounded.size() * sizeof(Weight)),
+                0)
+          << "source " << s;
+    }
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "engine/distance_cache.h"
 
+#include <algorithm>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -355,6 +356,130 @@ TEST(CachedSsspEngineTest, WithoutACacheEveryRowIsBoundedAndExact) {
         farthest))
         << "p = " << p;
   }
+}
+
+// ---- CachedSsspEngine: best-bounded miss rows ----------------------------
+
+TEST(CachedSsspEngineTest, PrunedRowIsInsertedWithItsRadiusThenWidened) {
+  const Graph g = testing::MakeRandomNetwork(400, 11);
+  auto cache = std::make_shared<SourceDistanceCache>(1, 1, 1);
+  CachedSsspEngine engine(g, cache);
+  const VertexId p = 17;
+  const VertexId other = 3;
+  const std::vector<Weight> want = DijkstraSssp(g, p);
+  // Q: the vertex farthest from p and the four nearest to it, so a row
+  // that serves Q is the whole component.
+  std::vector<VertexId> by_distance(g.NumVertices());
+  for (VertexId v = 0; v < by_distance.size(); ++v) by_distance[v] = v;
+  std::sort(by_distance.begin(), by_distance.end(),
+            [&](VertexId a, VertexId b) { return want[a] < want[b]; });
+  std::vector<VertexId> q_members(by_distance.begin() + 1,
+                                  by_distance.begin() + 5);
+  q_members.push_back(by_distance.back());
+  IndexedVertexSet q(g.NumVertices(), q_members);
+  engine.Prepare(q);
+  const GphiResult exact = engine.Evaluate(p, 3, Aggregate::kSum);
+  ASSERT_EQ(exact.subset.size(), 3u);
+  cache->Clear();
+
+  engine.Evaluate(other, 3, Aggregate::kSum);  // room: the full row
+  // Full: p's row stops once p cannot beat a bound far below g_phi(p).
+  const GphiResult pruned =
+      engine.EvaluateBounded(p, 3, Aggregate::kSum, exact.distance / 8.0);
+  EXPECT_EQ(pruned.distance, kInfWeight);
+  EXPECT_TRUE(pruned.subset.empty());
+  auto stats = cache->stats();
+  EXPECT_EQ(stats.bounded_rows, 1u);
+  EXPECT_EQ(stats.pruned_rows, 1u);
+
+  // Resident with its radius: it serves p's nearest vertex, and Q only
+  // as a narrow miss.
+  SourceDistanceCache::Probe probe = SourceDistanceCache::Probe::kHit;
+  auto row = cache->Lookup(p, g.epoch(), std::vector<VertexId>{p}, &probe);
+  ASSERT_NE(row, nullptr);
+  // Exact near p, tentative (never below the truth) farther out.
+  for (VertexId v = 0; v < want.size(); ++v) {
+    EXPECT_TRUE(SameBits((*row)[v], want[v]) || (*row)[v] > want[v]);
+  }
+  row.reset();
+  EXPECT_EQ(cache->Lookup(p, g.epoch(), q_members, &probe), nullptr);
+  EXPECT_EQ(probe, SourceDistanceCache::Probe::kNarrow);
+
+  // The same Q again: a narrow miss builds the full row, bitwise exact.
+  const GphiResult again = engine.Evaluate(p, 3, Aggregate::kSum);
+  EXPECT_TRUE(SameBits(again.distance, exact.distance));
+  EXPECT_EQ(again.subset, exact.subset);
+  stats = cache->stats();
+  EXPECT_EQ(stats.narrow_misses, 2u);
+  EXPECT_EQ(stats.pruned_rows, 1u);
+  row = cache->Lookup(p, g.epoch(), q_members);
+  ASSERT_NE(row, nullptr);
+  EXPECT_EQ(std::memcmp(row->data(), want.data(), want.size() * sizeof(Weight)),
+            0);
+}
+
+TEST(CachedSsspEngineTest, RoomPathIgnoresTheBound) {
+  const Graph g = testing::MakeRandomNetwork(400, 12);
+  auto cache = std::make_shared<SourceDistanceCache>(64, 4, 1);
+  CachedSsspEngine engine(g, cache);
+  Rng rng(6);
+  const auto q_members = testing::SampleVertices(g, 6, rng);
+  IndexedVertexSet q(g.NumVertices(), q_members);
+  engine.Prepare(q);
+  for (VertexId p : testing::SampleVertices(g, 20, rng)) {
+    // A bound of 0 prunes every p with g_phi > 0 on a bounded path.
+    const GphiResult r = engine.EvaluateBounded(p, 3, Aggregate::kSum, 0.0);
+    EXPECT_TRUE(SameBits(r.distance,
+                         testing::BruteGphi(g, p, q_members, 3,
+                                            Aggregate::kSum)))
+        << "p = " << p;
+    auto row = cache->Lookup(p, g.epoch());
+    ASSERT_NE(row, nullptr);
+    const std::vector<Weight> want = DijkstraSssp(g, p);
+    EXPECT_EQ(
+        std::memcmp(row->data(), want.data(), want.size() * sizeof(Weight)),
+        0);
+  }
+  EXPECT_EQ(cache->stats().bounded_rows, 0u);
+  EXPECT_EQ(cache->stats().pruned_rows, 0u);
+}
+
+TEST(CachedSsspEngineTest, WithoutACacheRowsStopOnTheBound) {
+  const Graph g = testing::MakeRandomNetwork(400, 12);
+  CachedSsspEngine engine(g, nullptr);
+  Rng rng(8);
+  const auto q_members = testing::SampleVertices(g, 8, rng);
+  const std::vector<double> weights = {1.0, 2.0, 0.5, 1.5,
+                                       3.0, 1.0, 0.25, 2.5};
+  IndexedVertexSet q(g.NumVertices(), q_members);
+  size_t pruned = 0;
+  for (bool weighted : {false, true}) {
+    for (Aggregate aggregate : {Aggregate::kMax, Aggregate::kSum}) {
+      for (VertexId p : testing::SampleVertices(g, 30, rng)) {
+        engine.Prepare(q);
+        if (weighted) {
+          ASSERT_TRUE(engine.BindWeights(weights));
+        }
+        const GphiResult exact = engine.Evaluate(p, 4, aggregate);
+        ASSERT_LT(exact.distance, kInfWeight);
+        // At its own value p is never pruned, bit for bit the same.
+        const GphiResult tie =
+            engine.EvaluateBounded(p, 4, aggregate, exact.distance);
+        EXPECT_TRUE(SameBits(tie.distance, exact.distance)) << "p = " << p;
+        EXPECT_EQ(tie.subset, exact.subset);
+        // Far below it, p either comes back pruned or exact.
+        const GphiResult low =
+            engine.EvaluateBounded(p, 4, aggregate, exact.distance / 4.0);
+        if (low.distance == kInfWeight) {
+          EXPECT_TRUE(low.subset.empty());
+          ++pruned;
+        } else {
+          EXPECT_TRUE(SameBits(low.distance, exact.distance));
+        }
+      }
+    }
+  }
+  EXPECT_GT(pruned, 60u);
 }
 
 }  // namespace

@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <tuple>
 
+#include "engine/cached_sssp.h"
 #include "fann/fannr.h"
 #include "fann_world.h"
 #include "sp/dijkstra.h"
@@ -253,6 +256,132 @@ TEST(ExactMaxTest, RejectsNoDataPointReachable) {
   FannResult r = SolveExactMax(query);
   EXPECT_EQ(r.best, kInvalidVertex);
   EXPECT_EQ(r.distance, kInfWeight);
+}
+
+// ---- Best-bounded g_phi evaluation ---------------------------------------
+
+// Forwards everything but EvaluateBounded, which then falls back to the
+// default (an unbounded Evaluate): the solvers without bounds.
+class WithoutBounds : public GphiEngine {
+ public:
+  explicit WithoutBounds(GphiEngine& inner) : inner_(inner) {}
+  void Prepare(const IndexedVertexSet& q) override { inner_.Prepare(q); }
+  bool BindWeights(std::span<const double> w) override {
+    return inner_.BindWeights(w);
+  }
+  GphiResult Evaluate(VertexId p, size_t k, Aggregate aggregate) override {
+    return inner_.Evaluate(p, k, aggregate);
+  }
+  std::string_view name() const override { return inner_.name(); }
+
+ private:
+  GphiEngine& inner_;
+};
+
+bool SameBitsAndCount(const FannResult& a, const FannResult& b) {
+  return a.best == b.best &&
+         std::memcmp(&a.distance, &b.distance, sizeof(Weight)) == 0 &&
+         a.subset == b.subset && a.gphi_evaluations == b.gphi_evaluations;
+}
+
+bool SameEntries(const std::vector<KFannEntry>& a,
+                 const std::vector<KFannEntry>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].vertex != b[i].vertex || a[i].subset != b[i].subset ||
+        std::memcmp(&a[i].distance, &b[i].distance, sizeof(Weight)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(BestBoundedTest, SolversAnswerTheSameWithAndWithoutBounds) {
+  const auto& world = testing::FannWorld::Get();
+  // A uniform line: P symmetric about Q, so g_phi ties abound.
+  const Graph line = testing::MakeLineGraph(61, 1.0);
+  Rng rng(404);
+  struct Case {
+    const Graph* graph;
+    std::vector<VertexId> p;
+    std::vector<VertexId> q;
+  };
+  std::vector<Case> cases;
+  for (int i = 0; i < 3; ++i) {
+    cases.push_back({&world.graph(),
+                     testing::SampleVertices(world.graph(), 60, rng),
+                     testing::SampleVertices(world.graph(), 8, rng)});
+  }
+  std::vector<VertexId> line_p;
+  for (VertexId v = 0; v < 61; ++v) {
+    if (v != 20 && v != 40) line_p.push_back(v);
+  }
+  cases.push_back({&line, line_p, {20, 40}});
+
+  size_t pruned_rows = 0;
+  for (const Case& c : cases) {
+    const Graph& g = *c.graph;
+    const IndexedVertexSet p(g.NumVertices(), c.p);
+    const IndexedVertexSet q(g.NumVertices(), c.q);
+    const RTree p_tree = BuildDataPointRTree(g, p);
+    std::vector<double> weights;
+    for (size_t i = 0; i < c.q.size(); ++i) {
+      weights.push_back(rng.NextDouble(0.5, 3.0));
+    }
+    // A one-entry cache bounds every miss after the first; no cache
+    // bounds them all.
+    auto cache = std::make_shared<SourceDistanceCache>(1, 1, 1);
+    CachedSsspEngine cached(g, cache);
+    CachedSsspEngine uncached(g, nullptr);
+    for (GphiEngine* engine : {static_cast<GphiEngine*>(&cached),
+                               static_cast<GphiEngine*>(&uncached)}) {
+      WithoutBounds plain(*engine);
+      for (Aggregate aggregate : {Aggregate::kMax, Aggregate::kSum}) {
+        for (double phi : {0.25, 0.5, 1.0}) {
+          FannQuery query{&g, &p, &q, phi, aggregate};
+          const std::string label =
+              std::string(AggregateName(aggregate)) + " phi " +
+              std::to_string(phi) + " |V| " + std::to_string(g.NumVertices());
+          EXPECT_TRUE(SameBitsAndCount(SolveGd(query, *engine),
+                                       SolveGd(query, plain)))
+              << "GD " << label;
+          EXPECT_TRUE(SameBitsAndCount(SolveRList(query, *engine),
+                                       SolveRList(query, plain)))
+              << "R-List " << label;
+          EXPECT_TRUE(SameBitsAndCount(SolveIer(query, *engine, p_tree),
+                                       SolveIer(query, plain, p_tree)))
+              << "IER " << label;
+          if (aggregate == Aggregate::kSum) {
+            EXPECT_TRUE(SameBitsAndCount(SolveApxSum(query, *engine),
+                                         SolveApxSum(query, plain)))
+                << "APX-sum " << label;
+          }
+          EXPECT_TRUE(SameEntries(SolveKGd(query, 3, *engine),
+                                  SolveKGd(query, 3, plain)))
+              << "k-GD " << label;
+          EXPECT_TRUE(SameEntries(SolveKRList(query, 3, *engine),
+                                  SolveKRList(query, 3, plain)))
+              << "k-R-List " << label;
+          EXPECT_TRUE(SameEntries(SolveKIer(query, 3, *engine, p_tree),
+                                  SolveKIer(query, 3, plain, p_tree)))
+              << "k-IER " << label;
+          query.weights = &weights;
+          EXPECT_TRUE(SameBitsAndCount(SolveGd(query, *engine),
+                                       SolveGd(query, plain)))
+              << "weighted GD " << label;
+          EXPECT_TRUE(SameBitsAndCount(SolveRList(query, *engine),
+                                       SolveRList(query, plain)))
+              << "weighted R-List " << label;
+          EXPECT_TRUE(SameEntries(SolveKGd(query, 3, *engine),
+                                  SolveKGd(query, 3, plain)))
+              << "weighted k-GD " << label;
+        }
+      }
+    }
+    pruned_rows += cache->stats().pruned_rows;
+  }
+  // The bounds were live: rows did stop on them.
+  EXPECT_GT(pruned_rows, 100u);
 }
 
 }  // namespace

@@ -146,6 +146,8 @@ TEST_F(NetServerTest, PingQueryStatsLifecycle) {
   ASSERT_TRUE(client.Stats(stats)) << client.last_error();
   EXPECT_NE(stats.find("\"server.requests.query\": 1"), std::string::npos)
       << stats;
+  EXPECT_NE(stats.find("\"bounded_rows\": "), std::string::npos) << stats;
+  EXPECT_NE(stats.find("\"pruned_rows\": "), std::string::npos) << stats;
   ShutdownAndWait();
 }
 
