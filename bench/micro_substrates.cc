@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <string>
 
 #include "common/rng.h"
@@ -322,6 +323,80 @@ void BM_IncrementalNnAllTargets(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IncrementalNnAllTargets)->Arg(64);
+
+// Solve-cold's INE jobs on DE: 32 pre-drawn (P, Q) pairs, |P| = 48
+// random vertices and |Q| = state.range(0) points from a 10%-coverage
+// region, the shape perfbench's solve-cold sends to Exact-max and
+// APX-sum.
+struct InePair {
+  IndexedVertexSet p;
+  IndexedVertexSet q;
+};
+
+const std::vector<InePair>& InePairs(size_t q_size) {
+  static std::map<size_t, std::vector<InePair>> by_size;
+  std::vector<InePair>& pairs = by_size[q_size];
+  if (!pairs.empty()) return pairs;
+  const Graph& graph = SsspGraph(1);
+  Rng rng(41);
+  for (int i = 0; i < 32; ++i) {
+    std::vector<VertexId> p;
+    for (size_t v : rng.SampleWithoutReplacement(graph.NumVertices(), 48)) {
+      p.push_back(static_cast<VertexId>(v));
+    }
+    pairs.push_back(
+        {IndexedVertexSet(graph.NumVertices(), std::move(p)),
+         IndexedVertexSet(graph.NumVertices(),
+                          GenerateUniformQueryPoints(graph, 0.1, q_size,
+                                                     rng))});
+  }
+  return pairs;
+}
+
+// Algorithm 2's switchable expansion alone (phi = 0.5, max): |Q|
+// concurrent searches over P until k counters saturate.
+void BM_ExactMaxCounters(benchmark::State& state) {
+  const Graph& graph = SsspGraph(1);
+  const auto& pairs = InePairs(static_cast<size_t>(state.range(0)));
+  size_t i = 0;
+  for (auto _ : state) {
+    const InePair& pair = pairs[i++ % pairs.size()];
+    FannQuery query;
+    query.graph = &graph;
+    query.data_points = &pair.p;
+    query.query_points = &pair.q;
+    query.phi = 0.5;
+    query.aggregate = Aggregate::kMax;
+    benchmark::DoNotOptimize(SolveExactMax(query));
+  }
+  state.SetLabel("DE");
+}
+BENCHMARK(BM_ExactMaxCounters)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(16)
+    ->Unit(benchmark::kMicrosecond);
+
+// APX-sum's candidate step (Algorithm 3 lines 2-4): one 1-NN search over
+// P from each member of Q.
+void BM_ApxSumCandidates(benchmark::State& state) {
+  const Graph& graph = SsspGraph(1);
+  const auto& pairs = InePairs(static_cast<size_t>(state.range(0)));
+  size_t i = 0;
+  for (auto _ : state) {
+    const InePair& pair = pairs[i++ % pairs.size()];
+    for (VertexId q : pair.q.members()) {
+      IncrementalNnSearch nn(graph, q, pair.p);
+      benchmark::DoNotOptimize(nn.Next());
+    }
+  }
+  state.SetLabel("DE");
+}
+BENCHMARK(BM_ApxSumCandidates)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(16)
+    ->Unit(benchmark::kMicrosecond);
 
 // IndexOf over every vertex id for a set of density d = range(0) / 100,
 // the lookup pattern of a sweep such as NetworkVoronoi::CellSizes.

@@ -1,6 +1,5 @@
 #include "fann/apx_sum.h"
 
-#include <unordered_set>
 #include <vector>
 
 #include "fann/gd.h"
@@ -19,17 +18,19 @@ FannResult SolveApxSum(const FannQuery& query, GphiEngine& engine) {
   // Candidate set: the network 1-NN in P of each query point (Algorithm 3
   // lines 2-4). Different query points often share a nearest data point,
   // so the candidate set is usually smaller than |Q|. Dedup through a
-  // hash set — the linear scan it replaces made this loop O(|Q|^2) on
-  // queries where most 1-NNs are distinct.
+  // flag per member of P.
   std::vector<VertexId> candidates;
-  std::unordered_set<VertexId> seen;
+  std::vector<bool> seen(query.data_points->size(), false);
   candidates.reserve(query.query_points->size());
-  seen.reserve(query.query_points->size());
   for (VertexId q : query.query_points->members()) {
     IncrementalNnSearch nn(*query.graph, q, *query.data_points);
     auto hit = nn.Next();
     if (!hit.has_value()) continue;  // q reaches no data point
-    if (seen.insert(hit->vertex).second) candidates.push_back(hit->vertex);
+    const uint32_t index = query.data_points->IndexOf(hit->vertex);
+    if (!seen[index]) {
+      seen[index] = true;
+      candidates.push_back(hit->vertex);
+    }
   }
   if (candidates.empty()) return FannResult{};
 

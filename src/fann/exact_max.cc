@@ -1,7 +1,6 @@
 #include "fann/exact_max.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -33,17 +32,20 @@ Saturation RunCounters(const FannQuery& query, size_t k) {
   }
 
   // Global queue over list heads: pops occur in nondecreasing distance.
+  // One per thread, so warm solves do not grow it.
   using Head = std::pair<Weight, uint32_t>;  // (head distance, list index)
-  FlatHeap<Head> heads;
+  thread_local FlatHeap<Head> heads;
+  heads.clear();
   heads.reserve(lists.size());
   for (uint32_t i = 0; i < lists.size(); ++i) {
     const auto* head = lists[i].Peek();
     if (head != nullptr) heads.push({head->distance, i});
   }
 
-  // arrival = (distance from its query point, query point id).
+  // arrival = (distance from its query point, query point id), kept per
+  // data point by its member index.
   using Arrival = std::pair<Weight, VertexId>;
-  std::unordered_map<VertexId, std::vector<Arrival>> arrivals;
+  std::vector<std::vector<Arrival>> arrivals(query.data_points->size());
   while (!heads.empty()) {
     // Drain the whole plateau at distance d before deciding: equal-
     // distance pops arrive in an order that depends on Q's iteration
@@ -56,7 +58,7 @@ Saturation RunCounters(const FannQuery& query, size_t k) {
       heads.pop();
       const auto hit = lists[i].Next();
       FANNR_DCHECK(hit.has_value());
-      auto& arrived = arrivals[hit->vertex];
+      auto& arrived = arrivals[query.data_points->IndexOf(hit->vertex)];
       arrived.push_back({hit->distance, lists[i].source()});
       if (arrived.size() >= k && hit->vertex < best) best = hit->vertex;
       const auto* next = lists[i].Peek();
@@ -65,7 +67,8 @@ Saturation RunCounters(const FannQuery& query, size_t k) {
     if (best != kInvalidVertex) {
       // k-th arrival: exact answer (max over the k nearest sources = the
       // plateau distance d).
-      std::vector<Arrival>& arrived = arrivals[best];
+      std::vector<Arrival>& arrived =
+          arrivals[query.data_points->IndexOf(best)];
       std::sort(arrived.begin(), arrived.end());
       Saturation sat;
       sat.best = best;

@@ -1,8 +1,6 @@
 #include "fann/kfann.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "common/flat_heap.h"
 #include "fann/ier.h"
@@ -255,9 +253,10 @@ std::vector<KFannEntry> SolveKExactMax(const FannQuery& query,
   // arrival = (distance from its query point, query point id); kept so
   // the reported subset can be sorted nearest-first with id tie-breaks,
   // matching the other solvers' SelectAndFold order.
+  // Both are kept per data point by its member index.
   using Arrival = std::pair<Weight, VertexId>;
-  std::unordered_map<VertexId, std::vector<Arrival>> arrivals;
-  std::unordered_set<VertexId> saturated;
+  std::vector<std::vector<Arrival>> arrivals(query.data_points->size());
+  std::vector<bool> saturated(query.data_points->size(), false);
   std::vector<KFannEntry> result;
 
   // Pops arrive in nondecreasing distance, but the order of equal-
@@ -272,11 +271,12 @@ std::vector<KFannEntry> SolveKExactMax(const FannQuery& query,
       const uint32_t i = heads.top().second;
       heads.pop();
       const auto hit = lists[i].Next();
-      if (!saturated.count(hit->vertex)) {
-        auto& arrived = arrivals[hit->vertex];
+      const uint32_t index = query.data_points->IndexOf(hit->vertex);
+      if (!saturated[index]) {
+        auto& arrived = arrivals[index];
         arrived.push_back({hit->distance, lists[i].source()});
         if (arrived.size() >= k) {
-          saturated.insert(hit->vertex);
+          saturated[index] = true;
           pending.push_back(hit->vertex);
         }
       }
@@ -286,8 +286,8 @@ std::vector<KFannEntry> SolveKExactMax(const FannQuery& query,
     std::sort(pending.begin(), pending.end());
     for (VertexId vertex : pending) {
       if (result.size() >= k_results) break;
-      auto node = arrivals.extract(vertex);
-      std::vector<Arrival>& arrived = node.mapped();
+      std::vector<Arrival> arrived =
+          std::move(arrivals[query.data_points->IndexOf(vertex)]);
       std::sort(arrived.begin(), arrived.end());
       KFannEntry entry;
       entry.vertex = vertex;

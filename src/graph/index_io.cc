@@ -128,9 +128,9 @@ bool ArenaWriter::Write(const std::string& path, uint64_t magic,
     const uint64_t pad = offsets[i] - cursor;
     if (pad > 0) emit(kZeros, pad);
     const Section& s = sections_[i];
-    const void* data =
-        s.owned_index == SIZE_MAX ? s.data : owned_[s.owned_index].data();
-    if (s.bytes > 0) emit(data, s.bytes);
+    for (size_t c = s.chunk_begin; c < s.chunk_end; ++c) {
+      if (chunks_[c].bytes > 0) emit(chunks_[c].data, chunks_[c].bytes);
+    }
     cursor = offsets[i] + s.bytes;
   }
 

@@ -21,7 +21,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -80,15 +82,15 @@ class ArenaChecksum {
 };
 
 /// Collects flat POD sections and writes one v3 arena file. Sections
-/// added by pointer/vector/Column are NOT copied — they must stay alive
-/// until Write returns. AddScalar copies its argument.
+/// added by pointer/vector/Column/span are NOT copied — they must stay
+/// alive until Write returns. AddScalar copies its argument.
 class ArenaWriter {
  public:
   template <typename T>
   void Add(const T* data, size_t count) {
     static_assert(std::is_trivially_copyable_v<T>);
-    sections_.push_back(
-        {reinterpret_cast<const void*>(data), count * sizeof(T), SIZE_MAX});
+    AddChunk(data, count * sizeof(T));
+    EndSection();
   }
   template <typename T>
   void Add(const std::vector<T>& values) {
@@ -98,14 +100,25 @@ class ArenaWriter {
   void Add(const Column<T>& values) {
     Add(values.data(), values.size());
   }
+  /// Adds one section holding the concatenation of `parts`, in order,
+  /// written straight from each part: nothing is gathered into a copy.
+  template <typename T>
+  void AddGather(std::span<const std::span<const T>> parts) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    for (const std::span<const T>& part : parts) {
+      AddChunk(part.data(), part.size_bytes());
+    }
+    EndSection();
+  }
   /// Copies `value` into writer-owned storage and adds it as a
   /// one-element section.
   template <typename T>
   void AddScalar(const T& value) {
     static_assert(std::is_trivially_copyable_v<T>);
-    owned_.emplace_back(reinterpret_cast<const char*>(&value),
-                        reinterpret_cast<const char*>(&value) + sizeof(T));
-    sections_.push_back({nullptr, sizeof(T), owned_.size() - 1});
+    owned_.push_back(std::make_unique<std::byte[]>(sizeof(T)));
+    std::memcpy(owned_.back().get(), &value, sizeof(T));
+    AddChunk(owned_.back().get(), sizeof(T));
+    EndSection();
   }
 
   /// Writes header + section table + aligned sections + checksum to a
@@ -117,13 +130,31 @@ class ArenaWriter {
              const GraphFingerprint& fingerprint) const;
 
  private:
-  struct Section {
-    const void* data;    // null when owned_index is set
+  struct Chunk {
+    const void* data;
     uint64_t bytes;
-    size_t owned_index;  // SIZE_MAX when external
   };
+  // A section is chunks_[chunk_begin, chunk_end), back to back.
+  struct Section {
+    size_t chunk_begin;
+    size_t chunk_end;
+    uint64_t bytes;
+  };
+
+  void AddChunk(const void* data, uint64_t bytes) {
+    chunks_.push_back({data, bytes});
+  }
+  void EndSection() {
+    const size_t begin =
+        sections_.empty() ? 0 : sections_.back().chunk_end;
+    uint64_t bytes = 0;
+    for (size_t c = begin; c < chunks_.size(); ++c) bytes += chunks_[c].bytes;
+    sections_.push_back({begin, chunks_.size(), bytes});
+  }
+
+  std::vector<Chunk> chunks_;
   std::vector<Section> sections_;
-  std::vector<std::string> owned_;
+  std::vector<std::unique_ptr<std::byte[]>> owned_;
 };
 
 /// An opened v3 arena file: the mapping plus the validated section

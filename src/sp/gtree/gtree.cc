@@ -641,6 +641,26 @@ bool ValidTreeStructure(size_t vertices,
   return true;
 }
 
+// Adds one ragged per-node field as two sections: the u64 prefix
+// offsets (built into `offsets`, which must outlive the write) and the
+// nodes' slices, written back to back straight from their columns.
+template <typename T>
+void AddRaggedField(ArenaWriter& w, const std::vector<GTree::Node>& nodes,
+                    Column<T> GTree::Node::*field,
+                    std::vector<uint64_t>& offsets) {
+  std::vector<std::span<const T>> parts;
+  parts.reserve(nodes.size());
+  offsets.reserve(nodes.size() + 1);
+  offsets.push_back(0);
+  for (const GTree::Node& nd : nodes) {
+    const Column<T>& slice = nd.*field;
+    parts.emplace_back(slice.data(), slice.size());
+    offsets.push_back(offsets.back() + slice.size());
+  }
+  w.Add(offsets);
+  w.AddGather(std::span<const std::span<const T>>(parts));
+}
+
 }  // namespace
 
 bool GTree::Save(const std::string& path) const {
@@ -651,32 +671,9 @@ bool GTree::Save(const std::string& path) const {
   const size_t n = nodes_.size();
   std::vector<GTreeNodePod> metas;
   metas.reserve(n);
-  std::vector<uint64_t> children_off(1, 0), vertices_off(1, 0),
-      borders_off(1, 0), occupants_off(1, 0), bop_off(1, 0), matrix_off(1, 0);
-  std::vector<int32_t> children_all;
-  std::vector<VertexId> vertices_all, borders_all, occupants_all;
-  std::vector<uint32_t> bop_all;
-  std::vector<Weight> matrix_all;
   for (const Node& nd : nodes_) {
     metas.push_back({nd.parent, nd.depth, nd.is_leaf ? 1u : 0u,
                      nd.occ_offset, nd.leaf_begin, nd.leaf_end});
-    children_all.insert(children_all.end(), nd.children.begin(),
-                        nd.children.end());
-    vertices_all.insert(vertices_all.end(), nd.vertices.begin(),
-                        nd.vertices.end());
-    borders_all.insert(borders_all.end(), nd.borders.begin(),
-                       nd.borders.end());
-    occupants_all.insert(occupants_all.end(), nd.occupants.begin(),
-                         nd.occupants.end());
-    bop_all.insert(bop_all.end(), nd.border_occ_pos.begin(),
-                   nd.border_occ_pos.end());
-    matrix_all.insert(matrix_all.end(), nd.matrix.begin(), nd.matrix.end());
-    children_off.push_back(children_all.size());
-    vertices_off.push_back(vertices_all.size());
-    borders_off.push_back(borders_all.size());
-    occupants_off.push_back(occupants_all.size());
-    bop_off.push_back(bop_all.size());
-    matrix_off.push_back(matrix_all.size());
   }
   ArenaWriter w;
   w.AddScalar(GTreeParamsPod{options_.fanout, options_.leaf_capacity,
@@ -684,18 +681,13 @@ bool GTree::Save(const std::string& path) const {
   w.Add(leaf_of_);
   w.Add(leaf_pos_);
   w.Add(metas);
-  w.Add(children_off);
-  w.Add(children_all);
-  w.Add(vertices_off);
-  w.Add(vertices_all);
-  w.Add(borders_off);
-  w.Add(borders_all);
-  w.Add(occupants_off);
-  w.Add(occupants_all);
-  w.Add(bop_off);
-  w.Add(bop_all);
-  w.Add(matrix_off);
-  w.Add(matrix_all);
+  std::vector<uint64_t> offsets[6];
+  AddRaggedField(w, nodes_, &Node::children, offsets[0]);
+  AddRaggedField(w, nodes_, &Node::vertices, offsets[1]);
+  AddRaggedField(w, nodes_, &Node::borders, offsets[2]);
+  AddRaggedField(w, nodes_, &Node::occupants, offsets[3]);
+  AddRaggedField(w, nodes_, &Node::border_occ_pos, offsets[4]);
+  AddRaggedField(w, nodes_, &Node::matrix, offsets[5]);
   return w.Write(path, kGTreeMagic, fingerprint_);
 }
 

@@ -1,39 +1,154 @@
 #include "sp/incremental_nn.h"
 
+#include <algorithm>
+#include <utility>
+
 namespace fannr {
+
+// Per-thread state shared by every search on the thread: the vertex
+// numbering and the parked frontiers.
+struct IncrementalNnSearch::ThreadState {
+  // stamps[v] = epoch_tag | id when v holds an id in the current epoch.
+  // Tags sit in the high 32 bits and only grow, so stamps[v] - epoch_tag
+  // is below 2^32 exactly for current stamps.
+  std::vector<uint64_t> stamps;
+  uint64_t epoch_tag = uint64_t{1} << 32;
+  uint32_t next_id = 0;
+  uint32_t live = 0;
+  // Frontier slots: a solve's i-th search takes slot i, so a repeated
+  // solve finds every frontier already grown to its need.
+  std::vector<FlatHeap<HeapEntry, DistLess>> frontiers;
+  std::vector<uint32_t> free_slots;  // parked slots below next_slot
+  uint32_t next_slot = 0;
+
+  uint32_t IdOf(VertexId v) {
+    const uint64_t rel = stamps[v] - epoch_tag;
+    if (rel < (uint64_t{1} << 32)) return static_cast<uint32_t>(rel);
+    stamps[v] = epoch_tag | next_id;
+    return next_id++;
+  }
+
+  void NewEpoch() {
+    next_id = 0;
+    next_slot = 0;
+    free_slots.clear();
+    epoch_tag += uint64_t{1} << 32;
+    if (epoch_tag == 0) {  // 2^32 epochs later: clear the old stamps
+      std::fill(stamps.begin(), stamps.end(), 0);
+      epoch_tag = uint64_t{1} << 32;
+    }
+  }
+};
+
+IncrementalNnSearch::ThreadState& IncrementalNnSearch::ThisThread() {
+  thread_local ThreadState state;
+  return state;
+}
 
 IncrementalNnSearch::IncrementalNnSearch(const Graph& graph,
                                          VertexId source,
                                          const IndexedVertexSet& targets)
-    : graph_(graph), targets_(targets), source_(source) {
+    : graph_(&graph), targets_(&targets), source_(source) {
   FANNR_CHECK(source < graph.NumVertices());
-  dist_[source] = 0.0;
-  frontier_.push({0.0, source});
+  ThreadState& state = ThisThread();
+  thread_ = &state;
+  ++state.live;
+  if (state.stamps.size() < graph.NumVertices()) {
+    state.stamps.resize(graph.NumVertices(), 0);
+  }
+  if (state.free_slots.empty()) {
+    frontier_slot_ = state.next_slot++;
+    if (frontier_slot_ == state.frontiers.size()) {
+      state.frontiers.emplace_back();
+      // Release() then parks slots without allocating.
+      state.free_slots.reserve(state.frontiers.size());
+    }
+  } else {
+    frontier_slot_ = state.free_slots.back();
+    state.free_slots.pop_back();
+  }
+  frontier_ = std::move(state.frontiers[frontier_slot_]);
+
+  const uint32_t id = state.IdOf(source);
+  labels_.assign(std::max<size_t>(state.next_id, 64), kInfWeight);
+  labels_[id] = 0.0;
+  frontier_.push({0.0, source, id});
+}
+
+IncrementalNnSearch::~IncrementalNnSearch() { Release(); }
+
+IncrementalNnSearch::IncrementalNnSearch(IncrementalNnSearch&& other) noexcept
+    : graph_(other.graph_),
+      targets_(other.targets_),
+      source_(other.source_),
+      thread_(std::exchange(other.thread_, nullptr)),
+      frontier_slot_(other.frontier_slot_),
+      frontier_(std::move(other.frontier_)),
+      labels_(std::move(other.labels_)),
+      buffered_(std::exchange(other.buffered_, std::nullopt)),
+      settled_count_(other.settled_count_),
+      exhausted_(std::exchange(other.exhausted_, true)) {}
+
+IncrementalNnSearch& IncrementalNnSearch::operator=(
+    IncrementalNnSearch&& other) noexcept {
+  if (this != &other) {
+    Release();
+    graph_ = other.graph_;
+    targets_ = other.targets_;
+    source_ = other.source_;
+    thread_ = std::exchange(other.thread_, nullptr);
+    frontier_slot_ = other.frontier_slot_;
+    frontier_ = std::move(other.frontier_);
+    labels_ = std::move(other.labels_);
+    buffered_ = std::exchange(other.buffered_, std::nullopt);
+    settled_count_ = other.settled_count_;
+    exhausted_ = std::exchange(other.exhausted_, true);
+  }
+  return *this;
+}
+
+void IncrementalNnSearch::Release() {
+  if (thread_ == nullptr) return;
+  FANNR_DCHECK(thread_ == &ThisThread());
+  frontier_.clear();
+  thread_->frontiers[frontier_slot_] = std::move(frontier_);
+  thread_->free_slots.push_back(frontier_slot_);
+  if (--thread_->live == 0) thread_->NewEpoch();
+  thread_ = nullptr;
 }
 
 std::optional<IncrementalNnSearch::Hit>
 IncrementalNnSearch::FindNextTarget() {
+  FANNR_DCHECK(thread_ == &ThisThread());
+  ThreadState& state = *thread_;
   while (!frontier_.empty()) {
     const HeapEntry top = frontier_.top();
     frontier_.pop();
-    auto it = dist_.find(top.vertex);
+    Weight& label = labels_[top.id];
     // Stale entry: a shorter path was found after this was pushed. A
-    // negative stored distance marks an already-settled vertex.
-    if (it == dist_.end() || top.dist > it->second || it->second < 0.0) {
-      continue;
-    }
+    // negative label marks an already-settled vertex.
+    if (top.dist > label || label < 0.0) continue;
     // Settle.
-    it->second = -top.dist - 1.0;  // mark settled, preserve value
+    label = -top.dist - 1.0;  // mark settled, preserve value
     ++settled_count_;
-    for (const Arc& a : graph_.Neighbors(top.vertex)) {
+    const auto arcs = graph_->Neighbors(top.vertex);
+    // Ids handed out below are next_id onwards, so one resize covers
+    // every arc of this vertex.
+    const size_t need = size_t{state.next_id} + arcs.size();
+    if (labels_.size() < need) {
+      labels_.resize(std::max(need, 2 * labels_.size()), kInfWeight);
+    }
+    for (const Arc& a : arcs) {
       const Weight nd = top.dist + a.weight;
-      auto [nit, inserted] = dist_.try_emplace(a.to, nd);
-      if (inserted || (nit->second >= 0.0 && nd < nit->second)) {
-        nit->second = nd;
-        frontier_.push({nd, a.to});
+      const uint32_t id = state.IdOf(a.to);
+      Weight& to = labels_[id];
+      // Unreached (+inf) or tentative and improved; weights are finite.
+      if (to >= 0.0 && nd < to) {
+        to = nd;
+        frontier_.push({nd, a.to, id});
       }
     }
-    if (targets_.Contains(top.vertex)) {
+    if (targets_->Contains(top.vertex)) {
       return Hit{top.vertex, top.dist};
     }
   }

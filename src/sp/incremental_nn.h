@@ -10,17 +10,29 @@
 // The paper's "switchable" implementation detail — all search state is
 // preserved when a queue is switched away from and resumed later — is
 // exactly what this class provides: each instance owns its frontier and
-// distance map and can be advanced one reported target at a time.
+// its labels and can be advanced one reported target at a time.
 //
-// Distance state is kept in a hash map rather than an O(|V|) array so that
-// |Q| concurrent instances stay within the paper's O(|Q||V|) worst-case
-// bound but use memory proportional to the region actually explored.
+// Labels live in dense arrays. Every thread keeps one grow-only
+// `vertex -> local id` numbering (8 B x |V| of the largest graph it has
+// searched), shared by all searches live on that thread: a vertex gets
+// the next free id the first time any of them touches it.
+// Each search keeps its own label array indexed by local id, grown
+// lazily up to the number of ids handed out so far, so a relaxation
+// costs two array loads. The numbering starts afresh (an O(1) epoch
+// bump) whenever the thread's last live search is destroyed, which
+// scopes ids to one solve: a search's labels are O(vertices its solve
+// has touched), not O(|V|), and the paper's O(|Q||V|) worst case for
+// |Q| concurrent searches still holds. The thread also parks each
+// destroyed search's frontier and hands it to the next search, so warm
+// solves run without growing any heap.
+//
+// A search must be used and destroyed on the thread that created it.
 
 #ifndef FANNR_SP_INCREMENTAL_NN_H_
 #define FANNR_SP_INCREMENTAL_NN_H_
 
+#include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/flat_heap.h"
@@ -40,9 +52,17 @@ class IncrementalNnSearch {
     Weight distance;
   };
 
-  /// Starts an expansion from `source`. `targets` must outlive the search.
+  /// Starts an expansion from `source`. `graph` and `targets` must
+  /// outlive the search.
   IncrementalNnSearch(const Graph& graph, VertexId source,
                       const IndexedVertexSet& targets);
+  ~IncrementalNnSearch();
+
+  /// A moved-from search is exhausted: Next() returns nullopt.
+  IncrementalNnSearch(IncrementalNnSearch&& other) noexcept;
+  IncrementalNnSearch& operator=(IncrementalNnSearch&& other) noexcept;
+  IncrementalNnSearch(const IncrementalNnSearch&) = delete;
+  IncrementalNnSearch& operator=(const IncrementalNnSearch&) = delete;
 
   /// Returns the next nearest unreported target, or nullopt when all
   /// reachable targets have been reported.
@@ -60,12 +80,20 @@ class IncrementalNnSearch {
   VertexId source() const { return source_; }
 
  private:
+  struct ThreadState;
+  static ThreadState& ThisThread();
+
   // Advances the Dijkstra expansion until one more target is settled.
   std::optional<Hit> FindNextTarget();
+
+  // Parks the frontier with the thread and drops this search from its
+  // live count; no-op on a moved-from search.
+  void Release();
 
   struct HeapEntry {
     Weight dist;
     VertexId vertex;
+    uint32_t id;  // the vertex's local id: no numbering lookup on pop
   };
   struct DistLess {
     bool operator()(const HeapEntry& a, const HeapEntry& b) const {
@@ -73,11 +101,14 @@ class IncrementalNnSearch {
     }
   };
 
-  const Graph& graph_;
-  const IndexedVertexSet& targets_;
+  const Graph* graph_;
+  const IndexedVertexSet* targets_;
   VertexId source_;
+  ThreadState* thread_;  // null once moved from
+  uint32_t frontier_slot_;
   FlatHeap<HeapEntry, DistLess> frontier_;
-  std::unordered_map<VertexId, Weight> dist_;
+  // By local id: +inf unreached, >= 0 tentative, -d - 1 settled at d.
+  std::vector<Weight> labels_;
   std::optional<Hit> buffered_;
   size_t settled_count_ = 0;
   bool exhausted_ = false;

@@ -82,6 +82,42 @@ Workload MakeSharedPWorkload(const Graph& graph, uint64_t seed) {
   return w;
 }
 
+// The solvers that run on IncrementalNnSearch: R-List (sum and max),
+// Exact-max (max only) and APX-sum (sum only), over a few shared P sets.
+Workload MakeIneWorkload(const Graph& graph, uint64_t seed) {
+  Workload w;
+  Rng rng(seed);
+  std::vector<const IndexedVertexSet*> ps;
+  for (const size_t p_size : {size_t{24}, size_t{40}, size_t{12}}) {
+    ps.push_back(&w.sets.emplace_back(
+        graph.NumVertices(), testing::SampleVertices(graph, p_size, rng)));
+  }
+  for (int i = 0; i < 24; ++i) {
+    const auto& q = w.sets.emplace_back(
+        graph.NumVertices(), testing::SampleVertices(graph, 4 + i % 3 * 4, rng));
+    FannrQuery job;
+    const double phi = i % 4 == 0 ? 1.0 : 0.5;
+    switch (i % 4) {
+      case 0:
+      case 1:
+        job.algorithm = FannAlgorithm::kRList;
+        job.query = FannQuery{&graph, ps[i % 3], &q, phi,
+                              i % 2 == 0 ? Aggregate::kSum : Aggregate::kMax};
+        break;
+      case 2:
+        job.algorithm = FannAlgorithm::kExactMax;
+        job.query = FannQuery{&graph, ps[i % 3], &q, phi, Aggregate::kMax};
+        break;
+      default:
+        job.algorithm = FannAlgorithm::kApxSum;
+        job.query = FannQuery{&graph, ps[i % 3], &q, phi, Aggregate::kSum};
+        break;
+    }
+    w.jobs.push_back(job);
+  }
+  return w;
+}
+
 TEST(BatchScheduleTest, LocalityScheduleIsByteIdenticalToDynamic) {
   const auto& world = testing::FannWorld::Get();
   const Workload workload = MakeSharedPWorkload(world.graph(), 0x10CA117Au);
@@ -179,6 +215,55 @@ TEST(BatchScheduleTest, WarmEngineRunsBatchesWithZeroHeapGrowths) {
   }
   EXPECT_EQ(FlatHeapAllocStats().grows, grows_before)
       << "steady-state batches must not grow any FlatHeap";
+}
+
+TEST(BatchScheduleTest, WarmEngineRunsIneSolversWithZeroHeapGrowths) {
+  // The same contract for the solvers on IncrementalNnSearch: their
+  // frontiers are parked per thread and handed back in creation order,
+  // so a repeat batch finds every one already grown.
+  const auto& world = testing::FannWorld::Get();
+  const Workload workload = MakeIneWorkload(world.graph(), 0x1AE5u);
+
+  BatchOptions options;
+  options.num_threads = 1;
+  options.share_distance_cache = false;
+  BatchQueryEngine engine(world.Resources(), options);
+
+  const auto warm = engine.Run(workload.jobs);
+  for (const FannResult& r : warm) ASSERT_EQ(r.status, QueryStatus::kOk);
+  const uint64_t grows_before = FlatHeapAllocStats().grows;
+  for (int run = 0; run < 3; ++run) {
+    const auto got = engine.Run(workload.jobs);
+    ASSERT_EQ(got.size(), workload.jobs.size());
+  }
+  EXPECT_EQ(FlatHeapAllocStats().grows, grows_before)
+      << "steady-state INE batches must not grow any FlatHeap";
+}
+
+TEST(BatchScheduleTest, IneSolversAreByteIdenticalOnFourWorkers) {
+  // Four workers each keep their own search numbering and parked
+  // frontiers; the answers must not depend on which worker ran a job.
+  const auto& world = testing::FannWorld::Get();
+  const Workload workload = MakeIneWorkload(world.graph(), 0x1AE6u);
+
+  BatchOptions reference_options;
+  reference_options.num_threads = 1;
+  BatchQueryEngine sequential(world.Resources(), reference_options);
+  const auto reference = sequential.Run(workload.jobs);
+
+  BatchOptions options;
+  options.num_threads = 4;
+  BatchQueryEngine engine(world.Resources(), options);
+  for (int run = 0; run < 2; ++run) {
+    const auto got = engine.Run(workload.jobs);
+    ASSERT_EQ(got.size(), reference.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].status, QueryStatus::kOk) << "job " << i;
+      ExpectByteIdentical(got[i], reference[i],
+                          "run " + std::to_string(run) + " job " +
+                              std::to_string(i));
+    }
+  }
 }
 
 }  // namespace

@@ -42,8 +42,30 @@ constexpr size_t kV3HeaderBytes = 64;
 constexpr ArenaValidation kBothValidations[] = {ArenaValidation::kHeaderOnly,
                                                 ArenaValidation::kFull};
 
+// Every file lives in a directory of this process's own, removed when
+// the process exits. ctest runs each case in its own process, and with
+// shared fixed names one process could truncate a file that another has
+// mapped (a bus error in the reader).
+class ProcessTempDir {
+ public:
+  ProcessTempDir()
+      : path_(::testing::TempDir() + "fannr_mmap_" +
+              std::to_string(getpid()) + "/") {
+    std::filesystem::create_directories(path_);
+  }
+  ~ProcessTempDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "fannr_mmap_" + name;
+  static const ProcessTempDir dir;
+  return dir.path() + name;
 }
 
 std::string ReadFileBytes(const std::string& path) {
