@@ -305,6 +305,35 @@ void BM_IncrementalNnK(benchmark::State& state) {
 }
 BENCHMARK(BM_IncrementalNnK)->Arg(1)->Arg(16)->Arg(64);
 
+// BM_IncrementalNnK/64 on the SSSP kernels' fallback graphs, so both
+// have a committed number: 2: grid-1e12 (the queue runs as a heap) and
+// 3: path-1e3 (a ring with one vertex per bucket). 128 random targets,
+// 64 hits from each of 2,048 random sources.
+void BM_IncrementalNnKFallbacks(benchmark::State& state) {
+  const Graph& graph = SsspGraph(state.range(0));
+  Rng rng(7);
+  std::vector<VertexId> sources;
+  for (size_t i = 0; i < 2048; ++i) {
+    sources.push_back(
+        static_cast<VertexId>(rng.NextIndex(graph.NumVertices())));
+  }
+  std::vector<VertexId> targets;
+  for (size_t v : rng.SampleWithoutReplacement(graph.NumVertices(), 128)) {
+    targets.push_back(static_cast<VertexId>(v));
+  }
+  IndexedVertexSet target_set(graph.NumVertices(), std::move(targets));
+  size_t i = 0;
+  for (auto _ : state) {
+    IncrementalNnSearch search(graph, sources[i++ % sources.size()],
+                               target_set);
+    for (size_t hits = 0; hits < 64; ++hits) {
+      benchmark::DoNotOptimize(search.Next());
+    }
+  }
+  state.SetLabel(SsspGraphName(state.range(0)));
+}
+BENCHMARK(BM_IncrementalNnKFallbacks)->Arg(2)->Arg(3);
+
 // The same search with every vertex a target (density d = 1 in the
 // paper's Fig. 3/4 sweeps): each settled vertex is a membership hit.
 void BM_IncrementalNnAllTargets(benchmark::State& state) {

@@ -47,8 +47,8 @@
 // FlatHeapAllocStats() around a workload to assert hot loops are
 // allocation-free after warmup (bench/throughput.cc records the delta
 // per cell as "heap_grows"). Frontiers that are not a FlatHeap (the
-// bucket queue of DijkstraSearch::SsspInto) report their growths to the
-// same counter through RecordFrontierGrowth().
+// ring of sp/bucket_queue.h) report their growths to the same counter
+// through RecordFrontierGrowth().
 
 #ifndef FANNR_COMMON_FLAT_HEAP_H_
 #define FANNR_COMMON_FLAT_HEAP_H_

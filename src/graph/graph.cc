@@ -51,6 +51,7 @@ Graph::Graph(std::vector<std::vector<Arc>> adjacency,
     list.shrink_to_fit();
   }
   RecomputeWeightChecksum();
+  RecomputeWeightRange();
 }
 
 Graph::Graph(Graph&& other) noexcept
@@ -59,6 +60,8 @@ Graph::Graph(Graph&& other) noexcept
       coords_(std::move(other.coords_)),
       weight_checksum_(other.weight_checksum_),
       epoch_(other.epoch_.load(std::memory_order_relaxed)),
+      w_min_(other.w_min_.load(std::memory_order_relaxed)),
+      w_max_(other.w_max_.load(std::memory_order_relaxed)),
       arena_(std::move(other.arena_)) {}
 
 Graph& Graph::operator=(Graph&& other) noexcept {
@@ -68,6 +71,10 @@ Graph& Graph::operator=(Graph&& other) noexcept {
     coords_ = std::move(other.coords_);
     weight_checksum_ = other.weight_checksum_;
     epoch_.store(other.epoch_.load(std::memory_order_relaxed),
+                 std::memory_order_relaxed);
+    w_min_.store(other.w_min_.load(std::memory_order_relaxed),
+                 std::memory_order_relaxed);
+    w_max_.store(other.w_max_.load(std::memory_order_relaxed),
                  std::memory_order_relaxed);
     arena_ = std::move(other.arena_);
   }
@@ -84,6 +91,32 @@ void Graph::RecomputeWeightChecksum() {
   weight_checksum_ = sum;
 }
 
+void Graph::RecomputeWeightRange() {
+  Weight w_min = kInfWeight;
+  Weight w_max = 0.0;
+  for (const Arc& a : arcs_) {
+    w_min = std::min(w_min, a.weight);
+    w_max = std::max(w_max, a.weight);
+  }
+  w_min_.store(w_min, std::memory_order_relaxed);
+  w_max_.store(w_max, std::memory_order_relaxed);
+}
+
+BucketShape Graph::bucket_shape() const {
+  // No arcs leaves w_min > w_max.
+  const Weight w_min = w_min_.load(std::memory_order_relaxed);
+  const Weight w_max = w_max_.load(std::memory_order_relaxed);
+  const Weight inv = 1.0 / w_min;
+  const Weight span = std::ceil(w_max * inv) + 3.0;
+  if (!(w_min > 0.0 && w_min <= w_max && std::isfinite(w_max) &&
+        std::isfinite(inv) && span <= static_cast<Weight>(NumVertices()))) {
+    return {};
+  }
+  const uint64_t ring = std::bit_ceil(static_cast<uint64_t>(span));
+  if (ring > NumVertices()) return {};
+  return {inv, ring};
+}
+
 std::optional<Weight> Graph::EdgeWeight(VertexId u, VertexId v) const {
   if (u >= NumVertices() || v >= NumVertices()) return std::nullopt;
   for (const Arc& a : Neighbors(u)) {
@@ -95,6 +128,11 @@ std::optional<Weight> Graph::EdgeWeight(VertexId u, VertexId v) const {
 Graph::ApplyStats Graph::ApplyWeightUpdates(
     std::span<const EdgeWeightUpdate> updates) {
   ApplyStats stats;
+  // The weight range moves by the new weights alone unless a weight at
+  // either end of it is replaced; then it is rescanned.
+  Weight new_min = w_min_.load(std::memory_order_relaxed);
+  Weight new_max = w_max_.load(std::memory_order_relaxed);
+  bool rescan = false;
   for (const EdgeWeightUpdate& update : updates) {
     FANNR_CHECK(update.u < NumVertices() && update.v < NumVertices() &&
                 update.u != update.v);
@@ -119,6 +157,9 @@ Graph::ApplyStats Graph::ApplyWeightUpdates(
         internal_graph::ArcChecksum(update.u, update.v, forward->weight);
     weight_checksum_ -=
         internal_graph::ArcChecksum(update.v, update.u, backward->weight);
+    rescan |= forward->weight == new_min || forward->weight == new_max;
+    new_min = std::min(new_min, update.new_weight);
+    new_max = std::max(new_max, update.new_weight);
     forward->weight = update.new_weight;
     backward->weight = update.new_weight;
     weight_checksum_ +=
@@ -128,6 +169,12 @@ Graph::ApplyStats Graph::ApplyWeightUpdates(
     ++stats.applied;
   }
   if (stats.applied > 0) {
+    if (rescan) {
+      RecomputeWeightRange();
+    } else {
+      w_min_.store(new_min, std::memory_order_relaxed);
+      w_max_.store(new_max, std::memory_order_relaxed);
+    }
     epoch_.fetch_add(1, std::memory_order_relaxed);
   }
   return stats;
@@ -166,10 +213,11 @@ constexpr uint64_t kGraphMagic = 0xFA22A81A62A9E004ULL;
 
 /// Structural validation on load: offsets must be a monotone prefix
 /// array ending at the arc count, coordinates empty or per-vertex,
-/// targets in range with positive weights.
+/// targets in range with positive weights. The same pass yields the
+/// smallest and largest arc weight.
 bool ValidGraphStructure(const Column<size_t>& offsets,
-                         const Column<Arc>& arcs,
-                         const Column<Point>& coords) {
+                         const Column<Arc>& arcs, const Column<Point>& coords,
+                         Weight& w_min, Weight& w_max) {
   if (offsets.empty() || offsets.back() != arcs.size()) return false;
   const size_t n = offsets.size() - 1;
   for (size_t i = 0; i < n; ++i) {
@@ -178,6 +226,8 @@ bool ValidGraphStructure(const Column<size_t>& offsets,
   if (!coords.empty() && coords.size() != n) return false;
   for (const Arc& a : arcs) {
     if (a.to >= n || !(a.weight > 0.0)) return false;
+    w_min = std::min(w_min, a.weight);
+    w_max = std::max(w_max, a.weight);
   }
   return true;
 }
@@ -221,9 +271,14 @@ std::optional<Graph> Graph::LoadMmap(const std::string& path,
   graph.coords_ = Column<Point>::Borrow(coords, num_coords);
   // The structural scan keeps queries on a corrupt payload memory-safe
   // without copying anything; it is the only O(V + E) work on this path.
-  if (!ValidGraphStructure(graph.offsets_, graph.arcs_, graph.coords_)) {
+  Weight w_min = kInfWeight;
+  Weight w_max = 0.0;
+  if (!ValidGraphStructure(graph.offsets_, graph.arcs_, graph.coords_, w_min,
+                           w_max)) {
     return std::nullopt;
   }
+  graph.w_min_.store(w_min, std::memory_order_relaxed);
+  graph.w_max_.store(w_max, std::memory_order_relaxed);
   const GraphFingerprint stored = arena->fingerprint();
   if (stored.vertices != graph.offsets_.size() - 1 ||
       stored.edges != num_arcs / 2) {

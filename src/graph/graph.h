@@ -60,6 +60,15 @@ struct Arc {
 /// increments it by one.
 using GraphEpoch = uint64_t;
 
+/// The shape of a bucket queue over the graph's current arc weights
+/// (sp/bucket_queue.h): bucket b holds distances d with
+/// floor(d * inv_width) == b, and the ring holds `ring` consecutive
+/// buckets. inv_width == 0 selects the heap.
+struct BucketShape {
+  Weight inv_width = 0.0;
+  uint64_t ring = 0;
+};
+
 /// One edge-weight change: sets w(u, v) (both arc directions) to
 /// `new_weight`. The edge must already exist — topology never changes.
 struct EdgeWeightUpdate {
@@ -138,6 +147,17 @@ class Graph {
   };
   ApplyStats ApplyWeightUpdates(std::span<const EdgeWeightUpdate> updates);
 
+  /// The bucket queue's shape at the current weights: inv_width = 1 /
+  /// w_min and ring = bit_ceil(ceil(w_max / w_min) + 3) slots, enough
+  /// for a relaxation from the bucket being drained (it lands at most
+  /// ceil(w_max / w_min) + 1 buckets ahead; two more slots absorb
+  /// rounding in the bucket index). The heap instead when the ring
+  /// would exceed |V| slots (buckets would hold one vertex each) or the
+  /// weights give no finite positive width. w_min and w_max are kept at
+  /// build, at load (in the structural scan) and per applied update
+  /// batch, as relaxed atomics like the epoch, so this is O(1).
+  BucketShape bucket_shape() const;
+
   /// The graph's structural identity (vertex/edge counts + weight
   /// checksum). O(1): the checksum is maintained incrementally across
   /// weight updates.
@@ -204,12 +224,16 @@ class Graph {
 
   /// Recomputes weight_checksum_ from scratch (construction).
   void RecomputeWeightChecksum();
+  /// Recomputes w_min_ and w_max_ from every arc.
+  void RecomputeWeightRange();
 
   Column<size_t> offsets_;  // size NumVertices() + 1
   Column<Arc> arcs_;        // grouped by source vertex
   Column<Point> coords_;    // empty or size NumVertices()
   uint64_t weight_checksum_ = 0;
   std::atomic<GraphEpoch> epoch_{0};
+  std::atomic<Weight> w_min_{kInfWeight};  // smallest arc weight
+  std::atomic<Weight> w_max_{0.0};         // largest arc weight
   // Keeps the mapping alive when the columns above are borrowed views
   // into a v3 index file (type-erased to keep this header light).
   std::shared_ptr<void> arena_;

@@ -5,15 +5,14 @@
 //
 // Every kernel here runs on the 4-ary FlatHeap except
 // DijkstraSearch::SsspInto, the full-row kernel behind the distance
-// cache's miss path, which runs on a bucket queue when the graph's arc
-// weights allow it (see SsspInto). DijkstraSssp stays heap-based: it is
-// the reference the bucket queue is tested against.
+// cache's miss path, which steps the BucketQueue (sp/bucket_queue.h)
+// that IncrementalNnSearch steps too. DijkstraSssp stays heap-based: it
+// is the reference the bucket queue is tested against.
 
 #ifndef FANNR_SP_DIJKSTRA_H_
 #define FANNR_SP_DIJKSTRA_H_
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -22,6 +21,7 @@
 #include "common/timestamped.h"
 #include "fann/aggregate.h"
 #include "graph/graph.h"
+#include "sp/bucket_queue.h"
 
 namespace fannr {
 
@@ -79,14 +79,11 @@ class DijkstraSearch {
   /// DijkstraSssp for a given graph and source, whichever search object
   /// ran it.
   ///
-  /// The frontier is Dial's bucket queue generalised to real weights:
-  /// bucket b holds the entries with floor(d / w_min) == b, where w_min
-  /// is the smallest arc weight, and a bucket is drained in any order
-  /// (LIFO). A popped entry with d > out[u] is stale and skipped; a
-  /// vertex improved again after its scan is pushed and scanned again.
-  /// Only a rounding edge can put such an improvement into the bucket
-  /// being drained; anything that would land below it is clamped into
-  /// it, anything beyond the ring into its last slot.
+  /// The frontier is the BucketQueue, shaped by graph().bucket_shape():
+  /// buckets of width w_min drained in any order, or the heap when the
+  /// ring would exceed |V| slots. A drained entry with d > out[u] is
+  /// stale and skipped; a vertex improved again after its scan is pushed
+  /// and scanned again.
   ///
   /// Why the row is bitwise DijkstraSssp's: weights are > 0 and
   /// floating-point addition rounds monotonically (a <= b implies
@@ -95,15 +92,8 @@ class DijkstraSearch {
   /// on exit out[v] <= fl(out[u] + w(u, v)) for every arc. By induction
   /// along any path, out[v] is then the minimum over paths of the
   /// folded sum — the one fixed point that the heap's settle order
-  /// reaches too. Settle order cannot change a bit.
-  ///
-  /// When the heap runs instead: the ring needs
-  /// bit_ceil(ceil(w_max / w_min) + 3) slots, and when that exceeds
-  /// |V| (a weight ratio beyond about |V|, where buckets would hold one
-  /// vertex each), or w_min / w_max do not give a finite positive
-  /// width, the heap loop of DijkstraSssp runs on this object's scratch.
-  /// The choice is re-derived from the arc weights whenever
-  /// graph().epoch() changes; it depends on the input alone.
+  /// reaches too. Settle order cannot change a bit, and neither can the
+  /// queue's mode, which depends on the weights alone.
   void SsspInto(VertexId source, std::vector<Weight>& out);
 
   /// Bounded form of SsspInto: runs the same queue from `source` but
@@ -116,15 +106,9 @@ class DijkstraSearch {
   /// the full row, when a target is unreachable or the queue empties
   /// first.
   ///
-  /// Why a label <= r is final: every entry still queued has distance
-  /// > r, and a vertex whose label is not final has, on a shortest path
-  /// to it, a queued predecessor whose final label is no larger than
-  /// its own (weights are > 0 and rounding is monotone). So r is the
-  /// largest distance below the queue's lower bound: on the heap the
-  /// next double down from the top entry's distance; on the bucket
-  /// queue, checked between buckets, the largest d with
-  /// d * (1 / w_min) below the next open bucket's id, since every
-  /// queued entry in bucket b has d * (1 / w_min) >= b.
+  /// r is the largest distance below the queue's lower bound between
+  /// steps, BucketQueue::Radius (sp/bucket_queue.h says why a label
+  /// there is final).
   ///
   /// Best-bounded rows: with a finite `stop.bound` the search also stops,
   /// at the same check points and with the same radius rule, once the
@@ -153,10 +137,9 @@ class DijkstraSearch {
   /// Grows the frontier to the worst case of a full search up front:
   /// lazy-deletion Dijkstra pushes once per strict improvement, at most
   /// NumArcs() + 1 times, so after this call no search on this object
-  /// regrows the heap or the bucket queue's entry pool at the current
-  /// epoch (a weight update that widens the ring regrows its slots).
-  /// Costs O(NumArcs()) bytes of address space; pages are touched only
-  /// as the frontier reaches them. Called by batch workers at
+  /// regrows the queue (a weight update that widens the ring regrows its
+  /// slots). Costs O(NumArcs()) bytes of address space; pages are
+  /// touched only as the frontier reaches them. Called by batch workers at
   /// construction so the solve phase is allocation-free from the first
   /// query (see BatchOptions::prewarm_scratch).
   void ReserveFullSearch();
@@ -164,26 +147,10 @@ class DijkstraSearch {
   const Graph& graph() const { return graph_; }
 
  private:
-  // One bucket-queue entry; `next` threads it onto its bucket's list or
-  // onto the free list.
-  struct BucketEntry {
-    Weight dist;
-    VertexId vertex;
-    uint32_t next;
-  };
-
-  // Re-derives the bucket width and ring from the arc weights when the
-  // graph's epoch moved; true when SsspInto runs on the bucket queue.
-  bool RefreshBuckets();
   // Full row when `targets` is null; otherwise the bounded search,
   // returning its radius.
   Weight SsspRow(VertexId source, const std::span<const VertexId>* targets,
                  const GphiBound& stop, std::vector<Weight>& out);
-  Weight SsspBuckets(VertexId source,
-                     const std::span<const VertexId>* targets,
-                     const GphiBound& stop, std::vector<Weight>& out);
-  Weight SsspHeap(VertexId source, const std::span<const VertexId>* targets,
-                  const GphiBound& stop, std::vector<Weight>& out);
   // True when the k-subset lower bound of `stop` at radius r exceeds
   // its bound (see the bounded SsspInto).
   bool Prunes(std::span<const VertexId> targets, const GphiBound& stop,
@@ -192,25 +159,10 @@ class DijkstraSearch {
   const Graph& graph_;
   TimestampedArray<Weight> dist_;
   TimestampedArray<uint8_t> settled_;
-  // Persistent frontier: clear() keeps capacity, so steady-state queries
-  // run with zero heap allocations.
-  FlatHeap<std::pair<Weight, VertexId>> heap_;
-
-  // Bucket queue (SsspInto). Shaped for `bucket_epoch_` (none yet when
-  // empty); a zero `inv_width_` selects the heap. Slot b & ring_mask_
-  // heads bucket b's list in `pool_`; `open_` holds the ids of non-empty
-  // buckets, so empty ones are never scanned. Popped entries go onto
-  // `free_head_` and are reused first, so the pool only grows to the
-  // live frontier. A bounded search leaves entries queued; it sets
-  // `slots_dirty_` and the next search empties the ring first.
-  std::optional<GraphEpoch> bucket_epoch_;
-  Weight inv_width_ = 0.0;
-  uint64_t ring_mask_ = 0;
-  std::vector<uint32_t> slot_head_;
-  std::vector<BucketEntry> pool_;
-  uint32_t free_head_ = 0;
-  FlatHeap<uint64_t> open_;
-  bool slots_dirty_ = false;
+  // Persistent frontiers: clear() keeps capacity, so steady-state
+  // queries run with zero heap allocations.
+  FlatHeap<std::pair<Weight, VertexId>> heap_;  // Distance(s)
+  BucketQueue queue_;                           // SsspInto
   std::vector<Weight> fold_;  // Prunes' k-subset values
 };
 

@@ -17,7 +17,7 @@ struct IncrementalNnSearch::ThreadState {
   uint32_t live = 0;
   // Frontier slots: a solve's i-th search takes slot i, so a repeated
   // solve finds every frontier already grown to its need.
-  std::vector<FlatHeap<HeapEntry, DistLess>> frontiers;
+  std::vector<Frontier> frontiers;
   std::vector<uint32_t> free_slots;  // parked slots below next_slot
   uint32_t next_slot = 0;
 
@@ -72,7 +72,8 @@ IncrementalNnSearch::IncrementalNnSearch(const Graph& graph,
   const uint32_t id = state.IdOf(source);
   labels_.assign(std::max<size_t>(state.next_id, 64), kInfWeight);
   labels_[id] = 0.0;
-  frontier_.push({0.0, source, id});
+  frontier_.queue.Reset(graph.bucket_shape(), source);
+  frontier_.found.clear();
 }
 
 IncrementalNnSearch::~IncrementalNnSearch() { Release(); }
@@ -86,7 +87,6 @@ IncrementalNnSearch::IncrementalNnSearch(IncrementalNnSearch&& other) noexcept
       frontier_(std::move(other.frontier_)),
       labels_(std::move(other.labels_)),
       buffered_(std::exchange(other.buffered_, std::nullopt)),
-      settled_count_(other.settled_count_),
       exhausted_(std::exchange(other.exhausted_, true)) {}
 
 IncrementalNnSearch& IncrementalNnSearch::operator=(
@@ -101,7 +101,6 @@ IncrementalNnSearch& IncrementalNnSearch::operator=(
     frontier_ = std::move(other.frontier_);
     labels_ = std::move(other.labels_);
     buffered_ = std::exchange(other.buffered_, std::nullopt);
-    settled_count_ = other.settled_count_;
     exhausted_ = std::exchange(other.exhausted_, true);
   }
   return *this;
@@ -110,7 +109,6 @@ IncrementalNnSearch& IncrementalNnSearch::operator=(
 void IncrementalNnSearch::Release() {
   if (thread_ == nullptr) return;
   FANNR_DCHECK(thread_ == &ThisThread());
-  frontier_.clear();
   thread_->frontiers[frontier_slot_] = std::move(frontier_);
   thread_->free_slots.push_back(frontier_slot_);
   if (--thread_->live == 0) thread_->NewEpoch();
@@ -121,47 +119,45 @@ std::optional<IncrementalNnSearch::Hit>
 IncrementalNnSearch::FindNextTarget() {
   FANNR_DCHECK(thread_ == &ThisThread());
   ThreadState& state = *thread_;
-  while (!frontier_.empty()) {
-    const HeapEntry top = frontier_.top();
-    frontier_.pop();
-    Weight& label = labels_[top.id];
-    // Stale entry: a shorter path was found after this was pushed. A
-    // negative label marks an already-settled vertex.
-    if (top.dist > label || label < 0.0) continue;
-    // Settle.
-    label = -top.dist - 1.0;  // mark settled, preserve value
-    ++settled_count_;
-    const auto arcs = graph_->Neighbors(top.vertex);
-    // Ids handed out below are next_id onwards, so one resize covers
-    // every arc of this vertex.
-    const size_t need = size_t{state.next_id} + arcs.size();
-    if (labels_.size() < need) {
-      labels_.resize(std::max(need, 2 * labels_.size()), kInfWeight);
+  BucketQueue& queue = frontier_.queue;
+  auto& found = frontier_.found;
+  while (true) {
+    // The nearest scanned target is reported once its label is final;
+    // one improved since its scan waits for its next scan.
+    while (!found.empty()) {
+      const auto [d, v] = found.top();
+      const bool rescanned = labels_[state.IdOf(v)] < d;
+      if (!rescanned && !queue.Below(d)) break;
+      found.pop();
+      if (!rescanned) return Hit{v, d};
     }
-    for (const Arc& a : arcs) {
-      const Weight nd = top.dist + a.weight;
-      const uint32_t id = state.IdOf(a.to);
-      Weight& to = labels_[id];
-      // Unreached (+inf) or tentative and improved; weights are finite.
-      if (to >= 0.0 && nd < to) {
-        to = nd;
-        frontier_.push({nd, a.to, id});
+    if (queue.empty()) break;
+    queue.Drain([&](Weight d, VertexId u, auto& push) {
+      if (d > labels_[state.IdOf(u)]) return;  // stale entry
+      const auto arcs = graph_->Neighbors(u);
+      // Ids handed out below are next_id onwards, so one resize covers
+      // every arc of this vertex.
+      const size_t need = size_t{state.next_id} + arcs.size();
+      if (labels_.size() < need) {
+        labels_.resize(std::max(need, 2 * labels_.size()), kInfWeight);
       }
-    }
-    if (targets_->Contains(top.vertex)) {
-      return Hit{top.vertex, top.dist};
-    }
+      for (const Arc& a : arcs) {
+        const Weight nd = d + a.weight;
+        Weight& to = labels_[state.IdOf(a.to)];
+        if (nd < to) {
+          to = nd;
+          push(nd, a.to);
+        }
+      }
+      if (targets_->Contains(u)) found.push({d, u});
+    });
   }
   exhausted_ = true;
   return std::nullopt;
 }
 
 std::optional<IncrementalNnSearch::Hit> IncrementalNnSearch::Next() {
-  if (buffered_.has_value()) {
-    std::optional<Hit> hit = buffered_;
-    buffered_.reset();
-    return hit;
-  }
+  if (buffered_.has_value()) return std::exchange(buffered_, std::nullopt);
   if (exhausted_) return std::nullopt;
   return FindNextTarget();
 }

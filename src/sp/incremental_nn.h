@@ -12,19 +12,22 @@
 // exactly what this class provides: each instance owns its frontier and
 // its labels and can be advanced one reported target at a time.
 //
+// The frontier is the BucketQueue that SsspInto steps too
+// (sp/bucket_queue.h), shaped by Graph::bucket_shape(). A search drains
+// one bucket (heap mode: one distance) at a time and collects the
+// targets it scans; it reports a target once its label is final by the
+// queue's lower bound, the bounded SsspInto's rule, so hits come out in
+// (distance, vertex id) order in both modes.
+//
 // Labels live in dense arrays. Every thread keeps one grow-only
 // `vertex -> local id` numbering (8 B x |V| of the largest graph it has
-// searched), shared by all searches live on that thread: a vertex gets
-// the next free id the first time any of them touches it.
-// Each search keeps its own label array indexed by local id, grown
-// lazily up to the number of ids handed out so far, so a relaxation
-// costs two array loads. The numbering starts afresh (an O(1) epoch
-// bump) whenever the thread's last live search is destroyed, which
-// scopes ids to one solve: a search's labels are O(vertices its solve
-// has touched), not O(|V|), and the paper's O(|Q||V|) worst case for
-// |Q| concurrent searches still holds. The thread also parks each
-// destroyed search's frontier and hands it to the next search, so warm
-// solves run without growing any heap.
+// searched), shared by its live searches: a vertex gets the next free
+// id when any of them first touches it, and each search indexes its own
+// label array, grown lazily, by that id. The numbering starts afresh (an
+// O(1) epoch bump) when the thread's last live search is destroyed, so
+// a search's labels are O(vertices its solve touched), not O(|V|). The
+// thread also parks each destroyed search's frontier for the next
+// search, so warm solves grow no heap and build no ring.
 //
 // A search must be used and destroyed on the thread that created it.
 
@@ -33,11 +36,13 @@
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/flat_heap.h"
 #include "graph/graph.h"
 #include "graph/vertex_set.h"
+#include "sp/bucket_queue.h"
 
 namespace fannr {
 
@@ -45,8 +50,8 @@ namespace fannr {
 class IncrementalNnSearch {
  public:
   /// A reported target: `vertex` is in the target set and `distance` is
-  /// its exact network distance from the source. Successive hits have
-  /// nondecreasing distances.
+  /// its exact network distance from the source, bit for bit
+  /// DijkstraSssp's. Hits come out in (distance, vertex id) order.
   struct Hit {
     VertexId vertex;
     Weight distance;
@@ -71,11 +76,8 @@ class IncrementalNnSearch {
   /// Returns the next hit without consuming it (nullptr when exhausted).
   /// This is the "head of the queue" of the paper's R-List / Exact-max:
   /// peeking advances the underlying expansion until the next target is
-  /// settled, and the result is buffered for the following Next().
+  /// final, and the result is buffered for the following Next().
   const Hit* Peek();
-
-  /// Number of vertices settled so far (exposition / benchmarking aid).
-  size_t settled_count() const { return settled_count_; }
 
   VertexId source() const { return source_; }
 
@@ -83,22 +85,18 @@ class IncrementalNnSearch {
   struct ThreadState;
   static ThreadState& ThisThread();
 
-  // Advances the Dijkstra expansion until one more target is settled.
+  // Advances the expansion until one more target is final.
   std::optional<Hit> FindNextTarget();
 
   // Parks the frontier with the thread and drops this search from its
   // live count; no-op on a moved-from search.
   void Release();
 
-  struct HeapEntry {
-    Weight dist;
-    VertexId vertex;
-    uint32_t id;  // the vertex's local id: no numbering lookup on pop
-  };
-  struct DistLess {
-    bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-      return a.dist < b.dist;
-    }
+  // What a search parks with its thread: the queue, and the scanned
+  // targets (distance, vertex) that wait for their labels to be final.
+  struct Frontier {
+    BucketQueue queue;
+    FlatHeap<std::pair<Weight, VertexId>> found;
   };
 
   const Graph* graph_;
@@ -106,11 +104,9 @@ class IncrementalNnSearch {
   VertexId source_;
   ThreadState* thread_;  // null once moved from
   uint32_t frontier_slot_;
-  FlatHeap<HeapEntry, DistLess> frontier_;
-  // By local id: +inf unreached, >= 0 tentative, -d - 1 settled at d.
-  std::vector<Weight> labels_;
+  Frontier frontier_;
+  std::vector<Weight> labels_;  // by local id; +inf unreached
   std::optional<Hit> buffered_;
-  size_t settled_count_ = 0;
   bool exhausted_ = false;
 };
 

@@ -629,6 +629,10 @@ std::vector<std::string> RunDifferentialChecks(
       report.Add("[sssp] SsspInto row from p=" + std::to_string(p) +
                  " differs bitwise from DijkstraSssp");
     }
+    for (VertexId v : IneKernelMismatches(search, scenario.p, scenario.q)) {
+      report.Add("[ine] IncrementalNnSearch hits from " + std::to_string(v) +
+                 " differ from the SsspInto row");
+    }
   }
   if (options.check_batch) {
     const auto shifted_matrix = oracle_matrix(shifted.q);

@@ -169,8 +169,8 @@ std::vector<std::string> RunDynamicUpdateChecks(
         std::make_unique<BatchQueryEngine>(resources, bo));
   }
 
-  // One search object for the kernel check of every wave: its bucket
-  // shape is re-derived at each epoch, never rebuilt from scratch.
+  // One search object for the kernel checks of every wave: each row
+  // takes the bucket shape the graph keeps for the current epoch.
   DijkstraSearch kernel_search(graph);
 
   Rng rng(scenario.seed * 0x9E3779B97F4A7C15ULL + 0xD1B54A32D192ED03ULL);
@@ -237,6 +237,11 @@ std::vector<std::string> RunDynamicUpdateChecks(
                                               scenario.q, stops)) {
       report.Add(wave_label + ": SsspInto row from p=" + std::to_string(p) +
                  " differs bitwise from DijkstraSssp");
+    }
+    for (VertexId v :
+         IneKernelMismatches(kernel_search, scenario.p, scenario.q)) {
+      report.Add(wave_label + ": IncrementalNnSearch hits from " +
+                 std::to_string(v) + " differ from the SsspInto row");
     }
 
     for (size_t ai = 0; ai < aggregates.size(); ++ai) {

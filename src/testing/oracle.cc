@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "common/check.h"
+#include "graph/vertex_set.h"
 #include "sp/dijkstra.h"
+#include "sp/incremental_nn.h"
 
 namespace fannr::testing {
 
@@ -98,6 +101,50 @@ std::vector<VertexId> SsspKernelMismatches(
     }
     if (!ok) mismatched.push_back(source);
   }
+  return mismatched;
+}
+
+std::vector<VertexId> IneKernelMismatches(DijkstraSearch& search,
+                                          const std::vector<VertexId>& p,
+                                          const std::vector<VertexId>& q) {
+  const Graph& graph = search.graph();
+  std::vector<VertexId> mismatched;
+  std::vector<Weight> row;
+  using Hit = IncrementalNnSearch::Hit;
+  const auto side = [&](const std::vector<VertexId>& sources,
+                        const std::vector<VertexId>& target_list) {
+    const IndexedVertexSet targets(graph.NumVertices(), target_list);
+    std::vector<IncrementalNnSearch> searches;
+    searches.reserve(sources.size());
+    for (VertexId s : sources) searches.emplace_back(graph, s, targets);
+    std::vector<std::vector<Hit>> hits(sources.size());
+    for (bool progressed = true; progressed;) {
+      progressed = false;
+      for (size_t i = 0; i < searches.size(); ++i) {
+        if (auto hit = searches[i].Next()) {
+          hits[i].push_back(*hit);
+          progressed = true;
+        }
+      }
+    }
+    for (size_t i = 0; i < sources.size(); ++i) {
+      search.SsspInto(sources[i], row);
+      std::vector<std::pair<Weight, VertexId>> want;
+      for (VertexId t : target_list) {
+        if (row[t] != kInfWeight) want.push_back({row[t], t});
+      }
+      std::sort(want.begin(), want.end());
+      bool ok = hits[i].size() == want.size();
+      for (size_t j = 0; ok && j < want.size(); ++j) {
+        ok = hits[i][j].vertex == want[j].second &&
+             std::memcmp(&hits[i][j].distance, &want[j].first,
+                         sizeof(Weight)) == 0;
+      }
+      if (!ok) mismatched.push_back(sources[i]);
+    }
+  };
+  side(p, q);
+  side(q, p);
   return mismatched;
 }
 

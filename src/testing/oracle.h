@@ -65,6 +65,17 @@ std::vector<VertexId> SsspKernelMismatches(
     const std::vector<VertexId>& targets,
     std::span<const GphiBound> stops = {});
 
+/// The members of `p` and of `q` whose IncrementalNnSearch hit lists
+/// disagree with SsspInto rows (run on `search`): drained, a search from
+/// each p over Q, and from each q over P, must report exactly the
+/// reachable targets in (distance, vertex id) order, each at the row's
+/// distance bit for bit. The searches of one side are live at once and
+/// advanced round-robin, as Exact-max and R-List advance theirs. `p` and
+/// `q` must each hold distinct vertices.
+std::vector<VertexId> IneKernelMismatches(DijkstraSearch& search,
+                                          const std::vector<VertexId>& p,
+                                          const std::vector<VertexId>& q);
+
 }  // namespace fannr::testing
 
 #endif  // FANNR_TESTING_ORACLE_H_

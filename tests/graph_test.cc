@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <numeric>
 #include <random>
 #include <string>
@@ -238,6 +240,70 @@ TEST(GraphBuilderTest, FromGraphRoundTripsAndAllowsUpdates) {
                           0.5);
   Graph updated = updated_builder.Build();
   EXPECT_EQ(updated.NumEdges(), original.NumEdges() + 1);
+}
+
+// The bucket queue's shape restated from every arc: the width is the
+// smallest weight, and the ring (bit_ceil(ceil(w_max / w_min) + 3)
+// slots) is used only when it fits in |V| slots.
+BucketShape ShapeFromArcs(const Graph& g) {
+  Weight w_min = kInfWeight;
+  Weight w_max = 0.0;
+  for (VertexId u = 0; u < g.NumVertices(); ++u) {
+    for (const Arc& a : g.Neighbors(u)) {
+      w_min = std::min(w_min, a.weight);
+      w_max = std::max(w_max, a.weight);
+    }
+  }
+  if (!(w_min <= w_max)) return {};  // no arcs
+  const double span = std::ceil(w_max / w_min) + 3.0;
+  if (span > static_cast<double>(g.NumVertices())) return {};
+  const uint64_t ring = std::bit_ceil(static_cast<uint64_t>(span));
+  if (ring > g.NumVertices()) return {};
+  return {1.0 / w_min, ring};
+}
+
+void ExpectShapeFromArcs(const Graph& g, const std::string& label) {
+  const BucketShape want = ShapeFromArcs(g);
+  const BucketShape got = g.bucket_shape();
+  EXPECT_EQ(got.ring, want.ring) << label;
+  EXPECT_EQ(got.inv_width, want.inv_width) << label;
+}
+
+TEST(GraphTest, BucketShapeFollowsEveryWeightUpdateBatch) {
+  Rng rng(12);
+  GraphBuilder builder(64);
+  for (VertexId v = 0; v < 64; ++v) {
+    builder.AddEdge(v, (v + 1) % 64, rng.NextDouble(1.0, 4.0));
+    builder.AddEdge(v, (v + 7) % 64, rng.NextDouble(1.0, 4.0));
+  }
+  Graph g = builder.Build();
+  ASSERT_GT(g.bucket_shape().ring, 0u);
+  ExpectShapeFromArcs(g, "built");
+  const auto apply = [&g](std::vector<EdgeWeightUpdate> batch) {
+    g.ApplyWeightUpdates(batch);
+  };
+  apply({{0, 1, 0.5}});
+  ExpectShapeFromArcs(g, "w_min lowered");
+  apply({{0, 1, 2.0}});  // the only arc at w_min is raised: a rescan
+  ExpectShapeFromArcs(g, "w_min raised");
+  apply({{2, 3, 30.0}, {4, 5, 0.9}});
+  ExpectShapeFromArcs(g, "both ends widened");
+  apply({{2, 3, 0.01}, {2, 3, 3.0}});  // set, then replaced in one batch
+  ExpectShapeFromArcs(g, "an end set and replaced in one batch");
+  apply({{4, 5, 2.5}, {0, 2, 0.1}});  // the second update is missing
+  ExpectShapeFromArcs(g, "w_min raised beside a missing edge");
+  apply({{6, 7, 1e9}});  // the ratio outgrows the ring: the heap
+  EXPECT_EQ(g.bucket_shape().ring, 0u);
+  ExpectShapeFromArcs(g, "heap");
+  apply({{6, 7, 2.0}});
+  ExpectShapeFromArcs(g, "back on the ring");
+  ASSERT_GT(g.bucket_shape().ring, 0u);
+
+  Graph moved = std::move(g);
+  ExpectShapeFromArcs(moved, "moved");
+  const Graph bare = GraphBuilder(3).Build();
+  EXPECT_EQ(bare.bucket_shape().ring, 0u);
+  EXPECT_EQ(bare.bucket_shape().inv_width, 0.0);
 }
 
 TEST(GraphTest, MemoryBytesIsPositive) {

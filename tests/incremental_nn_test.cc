@@ -3,12 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "common/flat_heap.h"
 #include "graph/builder.h"
+#include "graph/presets.h"
 #include "sp/dijkstra.h"
 #include "test_util.h"
 
@@ -333,6 +339,202 @@ TEST(IncrementalNnTest, LongLivedSearchSurvivesManySolves) {
   Drain(survivor, survivor_hits);
   ExpectHitsMatchDijkstra(g, long_source, long_targets, survivor_hits,
                           /*complete=*/true);
+}
+
+// --- Every hit list against the Dijkstra oracle, bit for bit ------------
+// A drained search must report exactly the reachable targets, in
+// (distance, vertex id) order, each at DijkstraSssp's distance bit for
+// bit, whichever mode Graph::bucket_shape() puts its queue in. Each test
+// asserts which mode its graph is in, so both stay covered.
+
+bool OnRing(const Graph& g) { return g.bucket_shape().ring > 0; }
+
+void ExpectOracleHits(const Graph& g, VertexId source,
+                      const IndexedVertexSet& targets,
+                      const std::vector<Hit>& hits, const std::string& label) {
+  const std::vector<Weight> truth = DijkstraSssp(g, source);
+  std::vector<std::pair<Weight, VertexId>> want;
+  for (VertexId t : targets.members()) {
+    if (truth[t] != kInfWeight) want.push_back({truth[t], t});
+  }
+  std::sort(want.begin(), want.end());
+  ASSERT_EQ(hits.size(), want.size()) << label << ", source " << source;
+  for (size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].vertex, want[i].second)
+        << label << ", source " << source << ", hit " << i;
+    EXPECT_EQ(std::memcmp(&hits[i].distance, &want[i].first, sizeof(Weight)),
+              0)
+        << label << ", source " << source << ", hit " << i << ": "
+        << hits[i].distance << " vs " << want[i].first;
+  }
+}
+
+// Drains one search per source, all live at once (one solve), and
+// checks each against the oracle.
+void ExpectOracleSolve(const Graph& g, const IndexedVertexSet& targets,
+                       const std::vector<VertexId>& sources,
+                       const std::string& label) {
+  std::vector<IncrementalNnSearch> searches;
+  for (VertexId s : sources) searches.emplace_back(g, s, targets);
+  for (size_t i = 0; i < sources.size(); ++i) {
+    std::vector<Hit> hits;
+    Drain(searches[i], hits);
+    ExpectOracleHits(g, sources[i], targets, hits, label);
+  }
+}
+
+std::vector<VertexId> EveryOther(const Graph& g) {
+  std::vector<VertexId> out;
+  for (VertexId v = 0; v < g.NumVertices(); v += 2) out.push_back(v);
+  return out;
+}
+
+std::vector<VertexId> AllOf(const Graph& g) {
+  std::vector<VertexId> out(g.NumVertices());
+  for (VertexId v = 0; v < out.size(); ++v) out[v] = v;
+  return out;
+}
+
+template <typename WeightFn>
+Graph WeightedGrid(VertexId rows, VertexId cols, WeightFn weight) {
+  GraphBuilder builder(rows * cols);
+  for (VertexId r = 0; r < rows; ++r) {
+    for (VertexId c = 0; c < cols; ++c) {
+      const VertexId v = r * cols + c;
+      if (c + 1 < cols) builder.AddEdge(v, v + 1, weight());
+      if (r + 1 < rows) builder.AddEdge(v, v + cols, weight());
+    }
+  }
+  return builder.Build();
+}
+
+TEST(IncrementalNnOracleTest, RingSideOnTestPresetAndRandomNetworks) {
+  const Graph preset = BuildPreset("TEST");
+  ASSERT_TRUE(OnRing(preset));
+  Rng rng(71);
+  const IndexedVertexSet preset_targets(
+      preset.NumVertices(), testing::SampleVertices(preset, 60, rng));
+  ExpectOracleSolve(preset, preset_targets,
+                    testing::SampleVertices(preset, 16, rng), "TEST");
+  for (uint64_t seed : {1u, 2u, 3u, 4u}) {
+    const Graph g = testing::MakeRandomNetwork(400, seed);
+    ASSERT_TRUE(OnRing(g));
+    const IndexedVertexSet targets(g.NumVertices(),
+                                   testing::SampleVertices(g, 40, rng));
+    ExpectOracleSolve(g, targets, testing::SampleVertices(g, 12, rng),
+                      "random network seed " + std::to_string(seed));
+  }
+}
+
+TEST(IncrementalNnOracleTest, IntegerPlateausShareABucket) {
+  Rng rng(72);
+  // Unit weights: every bucket is one plateau of equal distances, and
+  // the targets on it must come out by vertex id.
+  const Graph ties = WeightedGrid(12, 12, [] { return 1.0; });
+  // Integer weights 1..4: many equal-distance routes to each vertex.
+  const Graph small_ints = WeightedGrid(12, 12, [&rng] {
+    return static_cast<Weight>(1 + rng.NextIndex(4));
+  });
+  for (const Graph* g : {&ties, &small_ints}) {
+    ASSERT_TRUE(OnRing(*g));
+    const IndexedVertexSet half(g->NumVertices(), EveryOther(*g));
+    const IndexedVertexSet all(g->NumVertices(), AllOf(*g));
+    ExpectOracleSolve(*g, half, AllOf(*g), "plateaus, every other vertex");
+    ExpectOracleSolve(*g, all, testing::SampleVertices(*g, 12, rng),
+                      "plateaus, every vertex");
+  }
+}
+
+TEST(IncrementalNnOracleTest, RoundedAndSubUlpSums) {
+  Rng rng(73);
+  // Ring side: 0.1 + 0.2 != 0.3, and weights in [2^53, 2^53 + 2^12]
+  // round (half-to-even ties included) at every addition, so labels sit
+  // on the rounding edges of the bucket index.
+  const Weight tenths[] = {0.1, 0.2, 0.3, 0.7};
+  const Graph inexact = WeightedGrid(12, 12, [&rng, &tenths] {
+    return tenths[rng.NextIndex(4)];
+  });
+  const Graph huge = WeightedGrid(12, 12, [&rng] {
+    return std::ldexp(1.0, 53) + 2.0 * static_cast<Weight>(rng.NextIndex(2048));
+  });
+  for (const Graph* g : {&inexact, &huge}) {
+    ASSERT_TRUE(OnRing(*g));
+    const IndexedVertexSet half(g->NumVertices(), EveryOther(*g));
+    ExpectOracleSolve(*g, half, AllOf(*g), "rounded sums");
+  }
+  // Heap side: past 2^60 adding 1.0 is absorbed (one ulp is 256), so
+  // whole stretches of a unit ring share one distance.
+  GraphBuilder builder(40);
+  builder.AddEdge(0, 1, std::ldexp(1.0, 60));
+  for (VertexId v = 1; v < 39; ++v) builder.AddEdge(v, v + 1, 1.0);
+  builder.AddEdge(39, 1, 3.0);
+  builder.AddEdge(0, 20, std::ldexp(1.0, 60) + 512.0);
+  const Graph sub_ulp = builder.Build();
+  ASSERT_FALSE(OnRing(sub_ulp));
+  const IndexedVertexSet all(sub_ulp.NumVertices(), AllOf(sub_ulp));
+  ExpectOracleSolve(sub_ulp, all, AllOf(sub_ulp), "sub-ulp weights");
+}
+
+TEST(IncrementalNnOracleTest, HeapSideWhenTheWeightRatioIs1e12) {
+  Rng rng(74);
+  const Graph wide = WeightedGrid(12, 12, [&rng] {
+    return std::pow(10.0, rng.NextDouble(0.0, 12.0));
+  });
+  ASSERT_FALSE(OnRing(wide));
+  const IndexedVertexSet half(wide.NumVertices(), EveryOther(wide));
+  ExpectOracleSolve(wide, half, AllOf(wide), "ratio 1e12");
+}
+
+// One thread's parked frontiers serve solves on either side of the ring
+// bound as weight updates move the graph across it.
+TEST(IncrementalNnOracleTest, WeightUpdatesMoveSolvesBetweenRingAndHeap) {
+  Rng rng(75);
+  Graph g = WeightedGrid(10, 10, [&rng] { return rng.NextDouble(1.0, 2.0); });
+  const IndexedVertexSet targets(g.NumVertices(),
+                                 testing::SampleVertices(g, 30, rng));
+  const std::vector<VertexId> sources = testing::SampleVertices(g, 8, rng);
+  const auto apply = [&g](VertexId u, VertexId v, Weight w) {
+    const EdgeWeightUpdate update{u, v, w};
+    ASSERT_EQ(g.ApplyWeightUpdates({&update, 1}).applied, 1u);
+  };
+  ASSERT_TRUE(OnRing(g));
+  ExpectOracleSolve(g, targets, sources, "epoch 0 (ring)");
+  apply(0, 1, 1e-9);  // lowers w_min past the ring bound
+  ASSERT_FALSE(OnRing(g));
+  ExpectOracleSolve(g, targets, sources, "w_min lowered (heap)");
+  apply(0, 1, 1.5);  // back onto the ring
+  ASSERT_TRUE(OnRing(g));
+  ExpectOracleSolve(g, targets, sources, "w_min restored (ring)");
+  apply(5, 6, 40.0);  // a wider ring, still below |V| slots
+  ASSERT_TRUE(OnRing(g));
+  ExpectOracleSolve(g, targets, sources, "w_max raised (ring)");
+}
+
+// A ring of |V| slots: a warm solve reuses the parked frontiers, whose
+// slots the previous solve left non-empty only where its searches
+// stopped, without growing any heap, pool or ring.
+TEST(IncrementalNnOracleTest, WarmSolveOnANearlyFullRingDoesNotGrow) {
+  GraphBuilder builder(64);
+  for (VertexId v = 0; v + 1 < 64; ++v) builder.AddEdge(v, v + 1, 1.0);
+  builder.AddEdge(0, 63, 58.0);  // ceil(58) + 3 = 61 slots -> 64 = |V|
+  const Graph g = builder.Build();
+  ASSERT_EQ(g.bucket_shape().ring, g.NumVertices());
+  const IndexedVertexSet targets(g.NumVertices(), EveryOther(g));
+  const auto solve = [&] {
+    std::vector<IncrementalNnSearch> searches;
+    searches.reserve(4);
+    for (VertexId s : {VertexId{3}, VertexId{30}, VertexId{61}, VertexId{17}}) {
+      searches.emplace_back(g, s, targets);
+    }
+    for (size_t i = 0; i < searches.size(); ++i) {
+      for (size_t k = 0; k < 3 + 5 * i; ++k) searches[i].Next();
+    }
+  };
+  solve();
+  const uint64_t before = FlatHeapAllocStats().grows;
+  for (int run = 0; run < 5; ++run) solve();
+  EXPECT_EQ(FlatHeapAllocStats().grows, before);
+  ExpectOracleSolve(g, targets, {3, 30, 61, 17}, "full ring");
 }
 
 }  // namespace

@@ -115,6 +115,9 @@ TEST_F(MmapIndexTest, GraphV3RoundTripIsBitwiseIdentical) {
   EXPECT_FALSE(graph_.MemoryMapped());
 
   EXPECT_EQ(mapped->Fingerprint(), graph_.Fingerprint());
+  EXPECT_EQ(mapped->bucket_shape().ring, graph_.bucket_shape().ring);
+  ExpectSameBits(mapped->bucket_shape().inv_width,
+                 graph_.bucket_shape().inv_width, "bucket width");
   ASSERT_EQ(mapped->NumVertices(), graph_.NumVertices());
   ASSERT_EQ(mapped->NumArcs(), graph_.NumArcs());
   for (VertexId u = 0; u < graph_.NumVertices(); ++u) {
