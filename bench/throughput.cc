@@ -94,20 +94,26 @@ BatchWorkload MakeBatch(const Graph& graph, size_t batch_size) {
   return w;
 }
 
-// Observability overhead, measured pairwise: each pair runs the plain
-// engine and the observed engine back to back (fresh engines, cold
-// caches, same jobs), alternating which runs first, then the medians of
-// the two series are compared. Interleaving keeps both sides under the
-// same ambient load, and medians shrug off scheduler outliers. The pair
-// count is fixed rather than taken from FANNR_THROUGHPUT_REPS: the
-// timed runs are a few ms each, so on a 4-vCPU host one pair swings by
-// more than the 3% bar the CI gate holds the overhead to.
+// Observability overhead, measured pairwise: each pair times a plain
+// sample and an observed sample under the same ambient load, alternating
+// which goes first, and the medians of the two series are compared. One
+// sample is the median Run time of runs_per_sample fresh engines (cold
+// caches, same jobs; construction untimed), the two sides' runs
+// interleaved one by one, with runs_per_sample set so that a sample
+// spans at least kObsSampleMinMs. A single 64-job Run at T=8 lasts
+// about 2 ms, and host steal on a 4-vCPU box moves one such run by far
+// more than the 3% bar the CI gate holds the overhead to; a 50 ms
+// sample's median run does not move with one preempted run. The pair
+// count and sample length are fixed rather than taken from
+// FANNR_THROUGHPUT_REPS.
 constexpr size_t kObsOverheadPairs = 9;
+constexpr double kObsSampleMinMs = 50.0;
 
 struct ObsOverhead {
   double plain_median_ms = 0.0;
   double obs_median_ms = 0.0;
   double percent = 0.0;
+  size_t runs_per_sample = 0;
 };
 
 double Median(std::vector<double> values) {
@@ -123,20 +129,36 @@ ObsOverhead MeasureObsOverhead(const GphiResources& resources,
   options.num_threads = threads;
   options.share_distance_cache = true;
   options.cache_capacity = 4096;
+  // Times one Run on a fresh engine.
+  auto timed_run = [&](bool observed) {
+    options.enable_metrics = observed;
+    BatchQueryEngine engine(resources, options);
+    Timer t;
+    engine.Run(jobs);
+    return t.Millis();
+  };
+  // Size the samples from three plain runs that count toward neither side.
+  double calibrate_ms = 0.0;
+  for (int i = 0; i < 3; ++i) calibrate_ms += timed_run(false);
+  ObsOverhead overhead;
+  overhead.runs_per_sample = std::max<size_t>(
+      2, static_cast<size_t>(kObsSampleMinMs / (calibrate_ms / 3.0)) + 1);
+
   std::vector<double> plain_ms, obs_ms;
   plain_ms.reserve(kObsOverheadPairs);
   obs_ms.reserve(kObsOverheadPairs);
   for (size_t pair = 0; pair < kObsOverheadPairs; ++pair) {
     const bool observed_first = pair % 2 == 1;
-    for (const bool observed : {observed_first, !observed_first}) {
-      options.enable_metrics = observed;
-      BatchQueryEngine engine(resources, options);
-      Timer t;
-      engine.Run(jobs);
-      (observed ? obs_ms : plain_ms).push_back(t.Millis());
+    std::vector<double> plain_runs, obs_runs;
+    for (size_t run = 0; run < overhead.runs_per_sample; ++run) {
+      const bool first = run % 2 == 0 ? observed_first : !observed_first;
+      for (const bool observed : {first, !first}) {
+        (observed ? obs_runs : plain_runs).push_back(timed_run(observed));
+      }
     }
+    plain_ms.push_back(Median(std::move(plain_runs)));
+    obs_ms.push_back(Median(std::move(obs_runs)));
   }
-  ObsOverhead overhead;
   overhead.plain_median_ms = Median(std::move(plain_ms));
   overhead.obs_median_ms = Median(std::move(obs_ms));
   overhead.percent = 100.0 *
@@ -309,9 +331,10 @@ int Main() {
   const ObsOverhead obs = MeasureObsOverhead(resources, workload.jobs,
                                              /*threads=*/8);
   const double obs_overhead_percent = obs.percent;
-  std::printf("observability overhead (paired medians, T=8): %.2f%% "
-              "(%.2f ms -> %.2f ms)\n",
-              obs_overhead_percent, obs.plain_median_ms, obs.obs_median_ms);
+  std::printf("observability overhead (paired medians, T=8, %zu runs per "
+              "sample): %.2f%% (%.3f ms -> %.3f ms per run)\n",
+              obs.runs_per_sample, obs_overhead_percent, obs.plain_median_ms,
+              obs.obs_median_ms);
 
   const std::string out_dir = [] {
     const char* dir = std::getenv("FANNR_OUT_DIR");
@@ -329,6 +352,8 @@ int Main() {
       << "  \"obs_overhead_plain_median_ms\": " << obs.plain_median_ms
       << ",\n"
       << "  \"obs_overhead_obs_median_ms\": " << obs.obs_median_ms << ",\n"
+      << "  \"obs_overhead_runs_per_sample\": " << obs.runs_per_sample
+      << ",\n"
       << "  \"cells\": [\n";
   for (size_t i = 0; i < cells.size(); ++i) {
     const Cell& cell = cells[i];

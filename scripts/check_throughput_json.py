@@ -48,7 +48,8 @@ NOCACHE_STEP_FLOOR = 0.9
 NOCACHE_REQUIRED_THREADS = [1, 2, 4, 8]
 
 # Observability-overhead bar, on the bench's paired-median measurement
-# (plain and observed engines run back to back each rep; medians
+# (plain and observed engines interleaved run by run; each sample is the
+# median of enough fresh-engine runs to span >= 50 ms; medians of 9 pairs
 # compared). The tracing decorator plus the slow-query log's lock-free
 # drop path keep the observed run within a couple percent of the plain
 # one; 3% still catches a lock reintroduced on the per-query path. (The

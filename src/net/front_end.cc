@@ -12,6 +12,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/thread_name.h"
 #include "common/timer.h"
 
 namespace fannr::net {
@@ -104,8 +105,9 @@ bool FrontEnd::Start(std::string* error) {
     }
     loops_.push_back(std::move(loop));
   }
-  for (const std::unique_ptr<Loop>& loop : loops_) {
-    loop->thread = std::thread(&FrontEnd::LoopMain, this, std::ref(*loop));
+  for (size_t i = 0; i < loops_.size(); ++i) {
+    loops_[i]->thread =
+        std::thread(&FrontEnd::LoopMain, this, std::ref(*loops_[i]), i);
   }
   return true;
 }
@@ -134,8 +136,9 @@ bool FrontEnd::OnLoopThread(const Loop& loop) {
          loop.thread_id.load(std::memory_order_relaxed);
 }
 
-void FrontEnd::LoopMain(Loop& loop) {
+void FrontEnd::LoopMain(Loop& loop, size_t index) {
   loop.thread_id.store(std::this_thread::get_id(), std::memory_order_relaxed);
+  SetThreadName("fannr-loop" + std::to_string(index));
   std::vector<epoll_event> events(128);
   while (!stop_.load(std::memory_order_acquire)) {
     int timeout = -1;
@@ -374,23 +377,32 @@ bool FrontEnd::RejectEnvelope(const std::shared_ptr<Connection>& conn,
 
 void FrontEnd::Enqueue(const std::shared_ptr<Connection>& conn, Opcode opcode,
                        uint64_t request_id, std::span<const uint8_t> payload) {
+  EnqueueEncoded(conn, EncodeFrame(static_cast<uint16_t>(opcode), request_id,
+                                   payload));
+}
+
+void FrontEnd::EnqueueEncoded(const std::shared_ptr<Connection>& conn,
+                              std::span<const uint8_t> frames) {
   if (!conn->open.load(std::memory_order_relaxed)) return;
-  const std::vector<uint8_t> frame =
-      EncodeFrame(static_cast<uint16_t>(opcode), request_id, payload);
   {
     std::lock_guard<std::mutex> lock(conn->out_mu);
-    conn->out.Append(frame.data(), frame.size());
+    conn->out.Append(frames.data(), frames.size());
   }
   Loop& loop = *loops_[conn->loop_index];
+  bool first_dirty = false;
   {
     std::lock_guard<std::mutex> lock(loop.mail_mu);
+    first_dirty = loop.dirty.empty();
     loop.dirty.push_back(conn);
   }
   // The loop flushes what its own thread enqueued before re-entering
-  // epoll_wait (ProcessMail), so only other threads must wake it.
+  // epoll_wait (ProcessMail), so only other threads must wake it. A
+  // nonempty dirty list means its first writer's wake is already owed
+  // (or the loop thread is still to swap the list), so one wake covers
+  // every writer until the loop takes the list.
   if (OnLoopThread(loop)) {
     loop.enqueued_here = true;
-  } else {
+  } else if (first_dirty) {
     Wake(loop);
   }
 }

@@ -7,12 +7,15 @@
 // Bytes are cut into frames incrementally (net/iobuf.h), so clients may
 // pipeline; each frame goes to the FrameHandler on its loop thread.
 // Responses are appended to a per-connection transmit queue from any
-// thread and flushed as the kernel accepts them. A connection whose
+// thread (one frame, or a writer's whole burst for that connection at
+// once) and flushed as the kernel accepts them. A connection whose
 // backlog exceeds max_outbound_bytes stops being read until it drains
 // below half. Other threads reach a loop through its eventfd-woken
-// mailbox. Outbound links (Adopt) are upstream connections the router
-// makes to its shards: served by the same machinery, but exempt from
-// max_connections and from read-side backpressure.
+// mailbox; a writer wakes a loop only when its dirty list was empty, so
+// a burst of answers costs the loop one wake. Outbound links (Adopt) are
+// upstream connections the router makes to its shards: served by the
+// same machinery, but exempt from max_connections and from read-side
+// backpressure.
 
 #ifndef FANNR_NET_FRONT_END_H_
 #define FANNR_NET_FRONT_END_H_
@@ -110,6 +113,11 @@ class FrontEnd {
   /// Queues one frame on `conn` from any thread; no-op once closed.
   void Enqueue(const std::shared_ptr<Connection>& conn, Opcode opcode,
                uint64_t request_id, std::span<const uint8_t> payload);
+  /// Queues `frames` — whole frames, already encoded back to back — on
+  /// `conn` from any thread, under one out_mu lock with one dirty-list
+  /// entry and at most one loop wake; no-op once closed.
+  void EnqueueEncoded(const std::shared_ptr<Connection>& conn,
+                      std::span<const uint8_t> frames);
   void EnqueueError(const std::shared_ptr<Connection>& conn,
                     uint64_t request_id, ErrorCode code, std::string message);
 
@@ -135,7 +143,7 @@ class FrontEnd {
  private:
   struct Loop;
 
-  void LoopMain(Loop& loop);
+  void LoopMain(Loop& loop, size_t index);
   void AcceptReady(Loop& loop);
   void Register(Loop& loop, const std::shared_ptr<Connection>& conn);
   void Read(Loop& loop, const std::shared_ptr<Connection>& conn);

@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/thread_name.h"
 #include "common/timer.h"
 #include "engine/batch_engine.h"
 #include "fann/query.h"
@@ -299,6 +300,7 @@ void FannRouter::Wait() {
 }
 
 void FannRouter::ControlMain() {
+  SetThreadName("fannr-control");
   while (true) {
     std::function<void()> task;
     {

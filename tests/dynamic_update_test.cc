@@ -428,17 +428,33 @@ TEST(DynamicUpdateTest, MidBatchUpdateRejectsInFlightJobs) {
                                              Aggregate::kSum);
 
   size_t rejected_total = 0;
-  for (int attempt = 0; attempt < 20 && rejected_total == 0; ++attempt) {
+  // Attempts run until one straddles an epoch change: at least 20, and
+  // past those until 5 s have passed. On a box busier than it has cores
+  // the updater can miss a ~0.5 ms batch many times in a row.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  for (int attempt = 0;
+       rejected_total == 0 &&
+       (attempt < 20 || std::chrono::steady_clock::now() < give_up);
+       ++attempt) {
     std::atomic<bool> stop{false};
+    std::atomic<bool> updating{false};
     std::thread updater([&] {
       double weight = 2.0;
       while (!stop.load(std::memory_order_relaxed)) {
         const EdgeWeightUpdate update{b0, b1, weight};
         g.ApplyWeightUpdates({&update, 1});
+        updating.store(true, std::memory_order_relaxed);
         weight = weight >= 8.0 ? 2.0 : weight + 1.0;
         std::this_thread::yield();
       }
     });
+    // The calling thread solves as the engine's worker 0, so it never
+    // blocks early in Run to let a just-created updater onto its CPU:
+    // start the batch only once the updater is already applying.
+    while (!updating.load(std::memory_order_relaxed)) {
+      std::this_thread::yield();
+    }
     const std::vector<FannResult> results = engine.Run(batch);
     stop.store(true, std::memory_order_relaxed);
     updater.join();
@@ -457,8 +473,8 @@ TEST(DynamicUpdateTest, MidBatchUpdateRejectsInFlightJobs) {
       }
     }
   }
-  // The updater bumps the epoch many times per batch; across 20 attempts
-  // at least one job must have straddled an epoch change.
+  // The updater bumps the epoch many times per batch; across the
+  // attempts at least one job must have straddled an epoch change.
   EXPECT_GT(rejected_total, 0u);
 
   // With the updater quiesced the same engine accepts everything again.

@@ -1,9 +1,16 @@
 #include "engine/thread_pool.h"
 
 #include <atomic>
+#include <chrono>
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -72,6 +79,75 @@ TEST(ThreadPoolTest, PerWorkerScratchIsUnshared) {
   });
   EXPECT_EQ(std::accumulate(per_worker.begin(), per_worker.end(), size_t{0}),
             5000u);
+}
+
+/// Names of this process's threads whose name starts with `prefix`,
+/// keyed by thread id.
+std::map<std::string, std::string> ThreadNames(const std::string& prefix) {
+  std::map<std::string, std::string> names;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream comm(task.path() / "comm");
+    std::string name;
+    std::getline(comm, name);
+    if (name.rfind(prefix, 0) == 0) {
+      names[task.path().filename().string()] = name;
+    }
+  }
+  return names;
+}
+
+TEST(ThreadPoolTest, OneWorkerRunsEveryBodyOnTheCallingThread) {
+  ThreadPool pool(1);
+  EXPECT_EQ(pool.num_workers(), 1u);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (size_t count : {size_t{1}, size_t{7}}) {
+    pool.ParallelFor(count, [&](size_t, size_t worker) {
+      EXPECT_EQ(worker, 0u);
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+    });
+  }
+}
+
+TEST(ThreadPoolTest, CallerIsWorkerZeroBesideNumThreadsMinusOneHelpers) {
+  // Helpers are told apart by thread id: an earlier pool's joined
+  // threads may linger in /proc for a moment, but never reappear.
+  const std::map<std::string, std::string> before = ThreadNames("fannr-pool");
+  ThreadPool pool(4);
+  EXPECT_EQ(pool.num_workers(), 4u);
+  auto started = [&] {
+    std::set<std::string> names;
+    for (const auto& [tid, name] : ThreadNames("fannr-pool")) {
+      if (before.count(tid) == 0) names.insert(name);
+    }
+    return names;
+  };
+  // Each helper names itself once it runs; give a surplus one time to.
+  for (int spin = 0; spin < 1000 && started().size() < 3; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(started(), (std::set<std::string>{"fannr-pool1", "fannr-pool2",
+                                              "fannr-pool3"}))
+      << "a pool of 4 workers starts helpers 1..3 and no helper 0";
+
+  // Worker 0 is the calling thread and no other; helpers never claim 0.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::mutex mu;
+  std::vector<std::thread::id> by_worker(pool.num_workers());
+  pool.ParallelFor(400, [&](size_t, size_t worker) {
+    const std::thread::id self = std::this_thread::get_id();
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(worker == 0, self == caller) << "worker " << worker;
+    if (by_worker[worker] == std::thread::id()) by_worker[worker] = self;
+    EXPECT_EQ(by_worker[worker], self) << "worker id moved threads";
+  });
+
+  // A one-index loop stays on the caller.
+  pool.ParallelFor(1, [&](size_t, size_t worker) {
+    EXPECT_EQ(worker, 0u);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+  });
 }
 
 TEST(ThreadPoolTest, BodyExceptionPropagatesToCaller) {

@@ -10,7 +10,8 @@
 // Serving:
 //   --host ADDR              bind address            (default 127.0.0.1)
 //   --port N                 bind port; 0 = ephemeral (default 0)
-//   --threads N              engine worker threads   (default 1)
+//   --threads N              engine workers: the executor plus N - 1
+//                            pool threads            (default 1)
 //   --engine ENGINE          worker g_phi oracle: cached | ine | astar |
 //                            gtree | phl | ier-astar | ier-gtree |
 //                            ier-phl | ch        (default cached)
