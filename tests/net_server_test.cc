@@ -17,7 +17,9 @@
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <set>
@@ -25,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "dynamic/wal.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "test_util.h"
@@ -89,6 +92,13 @@ void AwaitQueueDepth(const FannServer& server, double depth) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   FAIL() << "queue depth never reached " << depth;
+}
+
+uint64_t DistanceBits(double distance) {
+  uint64_t bits = 0;
+  static_assert(sizeof(bits) == sizeof(distance));
+  std::memcpy(&bits, &distance, sizeof(bits));
+  return bits;
 }
 
 class NetServerTest : public ::testing::Test {
@@ -190,6 +200,110 @@ TEST_F(NetServerTest, OutOfRangeAndUnknownEnumeratorsRejected) {
   EXPECT_EQ(response.result.status,
             static_cast<uint8_t>(QueryStatus::kRejected));
   EXPECT_NE(response.result.error.find("algorithm"), std::string::npos);
+  ShutdownAndWait();
+}
+
+// --- one screening for every wire path -------------------------------------
+
+/// Answers `job` as a QUERY, as the only job of a BATCH and as a
+/// SUBSCRIBE, each from its own connection and thread, and returns the
+/// three results in that order. `while_sent` runs on the calling thread
+/// while the three are in flight (a test holding the executor releases
+/// it there).
+std::vector<WireResult> AnswerOnEveryWirePath(
+    const WireQuery& job, uint16_t port,
+    const std::function<void()>& while_sent) {
+  std::vector<WireResult> results(3);
+  auto connect = [port] {
+    FannClient client;
+    EXPECT_TRUE(client.Connect("127.0.0.1", port)) << client.last_error();
+    return client;
+  };
+  std::vector<std::thread> senders;
+  senders.emplace_back([&] {
+    FannClient client = connect();
+    QueryResponse response;
+    ASSERT_TRUE(client.Query(job, response)) << client.last_error();
+    results[0] = response.result;
+  });
+  senders.emplace_back([&] {
+    FannClient client = connect();
+    BatchRequest request;
+    request.jobs = {job};
+    BatchResponse response;
+    ASSERT_TRUE(client.Batch(request, response)) << client.last_error();
+    ASSERT_EQ(response.results.size(), 1u);
+    results[1] = response.results[0];
+  });
+  senders.emplace_back([&] {
+    FannClient client = connect();
+    uint64_t id = 0;
+    SubscribeResponse response;
+    ASSERT_TRUE(client.Subscribe(job, /*force_push=*/false, &id, response))
+        << client.last_error();
+    results[2] = response.result;
+  });
+  if (while_sent) while_sent();
+  for (std::thread& sender : senders) sender.join();
+  return results;
+}
+
+void ExpectScreenedAlike(const std::vector<WireResult>& results,
+                         QueryStatus status, const std::string& needle) {
+  const char* const paths[] = {"QUERY", "BATCH", "SUBSCRIBE"};
+  for (size_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].status, static_cast<uint8_t>(status)) << paths[i];
+    EXPECT_EQ(results[i].error, results[0].error) << paths[i];
+  }
+  EXPECT_NE(results[0].error.find(needle), std::string::npos)
+      << results[0].error;
+}
+
+TEST_F(NetServerTest, EveryWirePathScreensAlike) {
+  StartServer();
+  const uint16_t port = server_->port();
+
+  WireQuery bad_algorithm = MakeQuery();
+  bad_algorithm.algorithm = 200;
+  ExpectScreenedAlike(AnswerOnEveryWirePath(bad_algorithm, port, {}),
+                      QueryStatus::kRejected, "unknown algorithm enumerator");
+
+  WireQuery bad_aggregate = MakeQuery();
+  bad_aggregate.aggregate = 9;
+  ExpectScreenedAlike(AnswerOnEveryWirePath(bad_aggregate, port, {}),
+                      QueryStatus::kRejected, "unknown aggregate enumerator");
+
+  WireQuery bad_p = MakeQuery();
+  bad_p.p.push_back(static_cast<uint32_t>(graph_->NumVertices()));
+  ExpectScreenedAlike(AnswerOnEveryWirePath(bad_p, port, {}),
+                      QueryStatus::kRejected, "data point set P");
+
+  WireQuery duplicate_q = MakeQuery();
+  duplicate_q.q.push_back(duplicate_q.q.front());
+  ExpectScreenedAlike(AnswerOnEveryWirePath(duplicate_q, port, {}),
+                      QueryStatus::kRejected, "duplicate");
+  ShutdownAndWait();
+
+  // A server default deadline spent while the executor is held: the
+  // first request waits at the gate, the other two in the queue.
+  ExecutorGate gate;
+  gate.Hold();
+  ServerConfig config;
+  config.default_deadline_ms = 25.0;
+  config.test_execution_gate = gate.AsHook();
+  StartServer(std::move(config));
+  ExpectScreenedAlike(
+      AnswerOnEveryWirePath(MakeQuery(), server_->port(),
+                            [&] {
+                              gate.AwaitEntered(1);
+                              AwaitQueueDepth(*server_, 2.0);
+                              std::this_thread::sleep_for(
+                                  std::chrono::milliseconds(60));
+                              gate.Release();
+                            }),
+      QueryStatus::kTimedOut, "exceeded in the admission queue");
+  EXPECT_EQ(server_->metrics().Snapshot().gauge("server.subscriptions.active"),
+            0.0);
   ShutdownAndWait();
 }
 
@@ -436,6 +550,129 @@ TEST_F(NetServerTest, EpochAdvanceBetweenAdmissionAndExecutionRejects) {
       server_->metrics().Snapshot().counter("server.rejected_stale_admission"),
       1u);
   ShutdownAndWait();
+}
+
+// --- positioned replication -----------------------------------------------
+
+TEST_F(NetServerTest, ReplApplyPositionsProbesAndPushes) {
+  const std::string wal_path = ::testing::TempDir() + "fannr_server_repl.wal";
+  std::remove(wal_path.c_str());
+  std::string error;
+  std::unique_ptr<dynamic::UpdateWal> wal = dynamic::UpdateWal::Open(
+      wal_path, testing::MakeRandomNetwork(200, 91).Fingerprint(), &error);
+  ASSERT_NE(wal, nullptr) << error;
+  ServerConfig config;
+  config.wal = wal.get();
+  StartServer(std::move(config));
+  const auto [u, w] = *graph_->Neighbors(0).begin();
+  const std::vector<UpdateWeightsRequest::Entry> entries = {{0, u, w * 2.0}};
+
+  FannClient subscriber = Connect();
+  uint64_t sub_id = 0;
+  SubscribeResponse initial;
+  ASSERT_TRUE(subscriber.Subscribe(MakeQuery(901), /*force_push=*/true,
+                                   &sub_id, initial))
+      << subscriber.last_error();
+  ASSERT_EQ(initial.result.status, static_cast<uint8_t>(QueryStatus::kOk));
+
+  FannClient replicator = Connect();
+  // Wrong position: refused with the server's epoch, nothing applied.
+  ReplApplyRequest misplaced;
+  misplaced.position = 5;
+  misplaced.entries = entries;
+  UpdateWeightsResponse response;
+  ASSERT_TRUE(replicator.ReplApply(misplaced, response))
+      << replicator.last_error();
+  EXPECT_EQ(response.status, 2);
+  EXPECT_EQ(response.new_epoch, 0u);
+  EXPECT_NE(response.error.find("replication position 5"), std::string::npos)
+      << response.error;
+
+  // Empty at the right position: a probe, no epoch bump.
+  ReplApplyRequest probe;
+  probe.position = 0;
+  ASSERT_TRUE(replicator.ReplApply(probe, response))
+      << replicator.last_error();
+  EXPECT_EQ(response.status, 0);
+  EXPECT_EQ(response.old_epoch, 0u);
+  EXPECT_EQ(response.new_epoch, 0u);
+
+  // An invalid entry: the same rejection UPDATE_WEIGHTS gives.
+  ReplApplyRequest invalid;
+  invalid.position = 0;
+  invalid.entries = {{0, u, -1.0}};
+  ASSERT_TRUE(replicator.ReplApply(invalid, response))
+      << replicator.last_error();
+  UpdateWeightsRequest invalid_update;
+  invalid_update.entries = invalid.entries;
+  UpdateWeightsResponse update_response;
+  ASSERT_TRUE(replicator.UpdateWeights(invalid_update, update_response))
+      << replicator.last_error();
+  EXPECT_EQ(response.status, 1);
+  EXPECT_EQ(update_response.status, 1);
+  EXPECT_EQ(response.error, update_response.error);
+  EXPECT_FALSE(response.error.empty());
+
+  // None of the three moved the epoch, so none pushed.
+  QueryResponse query;
+  ASSERT_TRUE(replicator.Query(MakeQuery(), query)) << replicator.last_error();
+  EXPECT_EQ(query.graph_epoch, 0u);
+  ASSERT_TRUE(subscriber.Ping()) << subscriber.last_error();
+  ReceivedPush push;
+  EXPECT_FALSE(subscriber.TakePush(push));
+  EXPECT_EQ(server_->metrics().Snapshot().counter("server.pushes.sent"), 0u);
+
+  // A valid batch at the right position applies, logs and pushes.
+  ReplApplyRequest apply;
+  apply.position = 0;
+  apply.entries = entries;
+  ASSERT_TRUE(replicator.ReplApply(apply, response))
+      << replicator.last_error();
+  EXPECT_EQ(response.status, 0);
+  EXPECT_EQ(response.applied, 1u);
+  EXPECT_EQ(response.old_epoch, 0u);
+  EXPECT_EQ(response.new_epoch, 1u);
+  ReceivedPush replicated;
+  ASSERT_TRUE(subscriber.WaitPush(replicated)) << subscriber.last_error();
+  EXPECT_EQ(replicated.subscription_id, sub_id);
+  EXPECT_EQ(replicated.answer.graph_epoch, 1u);
+  ShutdownAndWait();
+  ASSERT_EQ(wal->records().size(), 1u);
+  EXPECT_EQ(wal->records()[0].position, 0u);
+  EXPECT_EQ(wal->records()[0].new_epoch, 1u);
+  ASSERT_EQ(wal->records()[0].entries.size(), 1u);
+  EXPECT_EQ(wal->records()[0].entries[0].weight, w * 2.0);
+
+  // The same batch as UPDATE_WEIGHTS on a fresh server: the same
+  // acknowledgement and the same push.
+  StartServer();
+  FannClient reference_subscriber = Connect();
+  ASSERT_TRUE(reference_subscriber.Subscribe(MakeQuery(901), true, &sub_id,
+                                             initial))
+      << reference_subscriber.last_error();
+  FannClient updater = Connect();
+  UpdateWeightsRequest update;
+  update.entries = entries;
+  ASSERT_TRUE(updater.UpdateWeights(update, update_response))
+      << updater.last_error();
+  EXPECT_EQ(update_response.status, response.status);
+  EXPECT_EQ(update_response.applied, response.applied);
+  EXPECT_EQ(update_response.missing, response.missing);
+  EXPECT_EQ(update_response.new_epoch, response.new_epoch);
+  ReceivedPush direct;
+  ASSERT_TRUE(reference_subscriber.WaitPush(direct))
+      << reference_subscriber.last_error();
+  EXPECT_EQ(direct.answer.graph_epoch, replicated.answer.graph_epoch);
+  EXPECT_EQ(direct.answer.result.status, replicated.answer.result.status);
+  EXPECT_EQ(direct.answer.result.best, replicated.answer.result.best);
+  EXPECT_EQ(DistanceBits(direct.answer.result.distance),
+            DistanceBits(replicated.answer.result.distance));
+  EXPECT_EQ(direct.answer.result.subset, replicated.answer.result.subset);
+  EXPECT_EQ(direct.answer.result.gphi_evaluations,
+            replicated.answer.result.gphi_evaluations);
+  ShutdownAndWait();
+  wal.reset();
+  std::remove(wal_path.c_str());
 }
 
 // --- graceful drain -------------------------------------------------------
@@ -810,13 +1047,6 @@ TEST_F(NetServerTest, PipelinedPingOvertakesHeldWork) {
 }
 
 // --- one hand-off per burst ----------------------------------------------
-
-uint64_t DistanceBits(double distance) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(distance));
-  std::memcpy(&bits, &distance, sizeof(bits));
-  return bits;
-}
 
 TEST_F(NetServerTest, TwoLoopsPipelinedAnswersAreBitwiseInProcessAndInOrder) {
   // Frames admitted on either of two loops wake the executor at their
