@@ -14,7 +14,6 @@
 #include "fann/fannr.h"
 #include "graph/builder.h"
 #include "sp/astar.h"
-#include "sp/bidirectional.h"
 #include "sp/ch/contraction_hierarchy.h"
 #include "sp/dijkstra.h"
 #include "sp/gtree/gtree.h"
@@ -232,18 +231,6 @@ void BM_AStarP2P(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AStarP2P);
-
-void BM_BidirectionalP2P(benchmark::State& state) {
-  const World& w = World::Get();
-  BidirectionalSearch search(w.graph);
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        search.Distance(w.pairs[i % 2048], w.pairs[(i + 1) % 2048]));
-    ++i;
-  }
-}
-BENCHMARK(BM_BidirectionalP2P);
 
 void BM_HubLabelP2P(benchmark::State& state) {
   const World& w = World::Get();

@@ -49,9 +49,8 @@ struct Cell {
   // FlatHeap regrowths across ALL timed repetitions of the cell, split
   // by phase. Construction (engine + prewarm) is where all growth is
   // allowed to happen; the solve phase must never regrow a heap —
-  // workers reserve their worst case up front
-  // (BatchOptions::prewarm_scratch), so heap_grows_solve is exactly 0
-  // for every (threads, schedule) configuration, which the CI gate
+  // workers reserve their worst case at engine construction, so
+  // heap_grows_solve is exactly 0 for every thread count, which the CI gate
   // asserts. heap_grows keeps the legacy total for trend tracking.
   uint64_t heap_grows = 0;
   uint64_t heap_grows_construct = 0;
@@ -181,14 +180,12 @@ Cell MakeCell(const std::string& label, size_t threads, bool cached,
 // run: each timed run starts with a cold cache, so cached cells measure
 // within-batch reuse, not leftover state from a previous repetition.
 double TimeRun(Cell& cell, const GphiResources& resources,
-               const std::vector<FannrQuery>& jobs,
-               BatchSchedule schedule = BatchSchedule::kDynamic) {
+               const std::vector<FannrQuery>& jobs) {
   BatchOptions options;
   options.num_threads = cell.threads;
   options.share_distance_cache = cell.cached;
   options.cache_capacity = 4096;
   options.enable_metrics = cell.observed;
-  options.schedule = schedule;
 
   const uint64_t grows_start = FlatHeapAllocStats().grows;
   BatchQueryEngine engine(resources, options);
@@ -208,12 +205,11 @@ double TimeRun(Cell& cell, const GphiResources& resources,
 
 Cell TimeConfig(const std::string& label, const GphiResources& resources,
                 const std::vector<FannrQuery>& jobs, size_t threads,
-                bool cached, size_t reps, bool observed = false,
-                BatchSchedule schedule = BatchSchedule::kDynamic) {
+                bool cached, size_t reps, bool observed = false) {
   Cell cell = MakeCell(label, threads, cached, observed);
   double total_ms = 0.0;
   for (size_t rep = 0; rep < reps; ++rep) {
-    total_ms += TimeRun(cell, resources, jobs, schedule);
+    total_ms += TimeRun(cell, resources, jobs);
   }
   cell.mean_ms = total_ms / static_cast<double>(reps);
   cell.qps = 1000.0 * static_cast<double>(jobs.size()) / cell.mean_ms;
@@ -290,12 +286,6 @@ int Main() {
     cells.push_back(TimeConfig("engine-cached", resources, workload.jobs,
                                threads, /*cached=*/true, reps));
   }
-  // The locality schedule (jobs grouped by P-set signature, pinned per
-  // worker) on the production configuration; answers are bitwise equal
-  // to the dynamic cells, only the job-to-worker mapping differs.
-  cells.push_back(TimeConfig("engine-cached+locality", resources,
-                             workload.jobs, 8, /*cached=*/true, reps,
-                             /*observed=*/false, BatchSchedule::kLocality));
   // The production configuration with full observation (metrics, traces,
   // slow-query log) enabled. The overhead number itself comes from the
   // paired-median measurement below (capped at 3% by CI); this cell is

@@ -145,9 +145,8 @@ def main():
         check(isinstance(cell["heap_grows"], int) and cell["heap_grows"] >= 0,
               f"{label}: heap_grows must be a non-negative integer")
         # Solve-phase allocation gate: workers prewarm their search
-        # scratch to the NumArcs()+1 worst case at engine construction
-        # (BatchOptions::prewarm_scratch), so the solve phase never grows
-        # a heap — for ANY (threads, schedule) cell. A nonzero value
+        # scratch to the NumArcs()+1 worst case at engine construction,
+        # so the solve phase never grows a heap — for ANY cell. A nonzero value
         # means an un-prewarmed heap crept back onto the query path and
         # heap_grows is race-dependent again.
         check(cell.get("heap_grows_solve") == 0,

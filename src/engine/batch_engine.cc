@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "common/timer.h"
@@ -14,6 +13,9 @@
 namespace fannr {
 
 namespace {
+
+/// Lock stripes of the shared distance cache.
+constexpr size_t kCacheShards = 16;
 
 /// Screens one job against the engine's graph and configuration. Empty
 /// string = runnable. `gphi_kind` is the engine's configured oracle
@@ -97,7 +99,7 @@ BatchQueryEngine::BatchQueryEngine(const GphiResources& resources,
     // One spare row per worker: each worker computes at most one row
     // at a time.
     cache_ = std::make_shared<SourceDistanceCache>(
-        capacity, options_.cache_shards, pool_.num_workers());
+        capacity, kCacheShards, pool_.num_workers());
   }
   worker_engines_.reserve(pool_.num_workers());
   cached_engines_.reserve(pool_.num_workers());
@@ -119,15 +121,14 @@ BatchQueryEngine::BatchQueryEngine(const GphiResources& resources,
     }
   }
 
-  if (options_.prewarm_scratch) {
-    // Grow every worker's search scratch (notably the Dijkstra frontier)
-    // to its worst case now, so the solve phase never regrows a heap:
-    // construction is where allocation happens, Run() is allocation-free
-    // and deterministic in its allocation behavior (the throughput gate
-    // asserts heap_grows_solve == 0 per cell).
-    for (auto& engine : worker_engines_) engine->PrewarmScratch();
-    for (auto& engine : fallback_engines_) engine->PrewarmScratch();
-  }
+  // Grow every worker's search scratch (notably the Dijkstra frontier,
+  // up to NumArcs() + 1 entries) to its worst case now, so the solve
+  // phase never regrows a heap: construction is where allocation
+  // happens, Run() is allocation-free and deterministic in its
+  // allocation behavior (the throughput gate asserts heap_grows_solve
+  // == 0 per cell).
+  for (auto& engine : worker_engines_) engine->PrewarmScratch();
+  for (auto& engine : fallback_engines_) engine->PrewarmScratch();
 
   if (options_.enable_metrics) {
     metrics_ = std::make_unique<obs::MetricsRegistry>(pool_.num_workers());
@@ -403,64 +404,7 @@ std::vector<FannResult> BatchQueryEngine::Run(
     slow_log_->Offer(trace);
   };
 
-  if (options_.schedule == BatchSchedule::kDynamic ||
-      pool_.num_workers() <= 1) {
-    pool_.ParallelFor(queries.size(), solve_one);
-  } else {
-    // Locality schedule: group runnable jobs by P-set signature and pin
-    // each group to one worker slot, so queries over the same data set
-    // revisit that worker's warm solver scratch back to back instead of
-    // interleaving unrelated P sets across workers. The construction is
-    // fully deterministic — signatures hash the SORTED member ids (not
-    // pointers), groups are visited in signature order, and ties in the
-    // greedy balance break toward the lowest slot — and results still
-    // land by job index, so the answers are bitwise identical to
-    // kDynamic (tests/batch_schedule_test.cc enforces this).
-    auto p_signature = [](const IndexedVertexSet& p) {
-      std::vector<VertexId> ids(p.members().begin(), p.members().end());
-      std::sort(ids.begin(), ids.end());
-      uint64_t h = 1469598103934665603ull;  // FNV-1a over the sorted ids
-      for (VertexId v : ids) {
-        h ^= static_cast<uint64_t>(v);
-        h *= 1099511628211ull;
-      }
-      return h;
-    };
-    std::unordered_map<const IndexedVertexSet*, uint64_t> sig_of_set;
-    std::map<uint64_t, std::vector<size_t>> groups;  // ordered => stable
-    for (size_t i = 0; i < queries.size(); ++i) {
-      if (results[i].status == QueryStatus::kRejected) continue;
-      const IndexedVertexSet* p = queries[i].query.data_points;
-      auto [it, inserted] = sig_of_set.emplace(p, uint64_t{0});
-      if (inserted) it->second = p_signature(*p);
-      groups[it->second].push_back(i);
-    }
-    // Largest groups first (each group's job list is ascending by
-    // construction; ties break on the smallest contained job index),
-    // then greedy least-loaded assignment to worker slots.
-    std::vector<const std::vector<size_t>*> ordered;
-    ordered.reserve(groups.size());
-    for (const auto& [sig, jobs] : groups) ordered.push_back(&jobs);
-    std::sort(ordered.begin(), ordered.end(),
-              [](const std::vector<size_t>* a, const std::vector<size_t>* b) {
-                if (a->size() != b->size()) return a->size() > b->size();
-                return a->front() < b->front();
-              });
-    if (!ordered.empty()) {
-      std::vector<std::vector<size_t>> slots(
-          std::min(pool_.num_workers(), ordered.size()));
-      for (const std::vector<size_t>* jobs : ordered) {
-        size_t target = 0;
-        for (size_t s = 1; s < slots.size(); ++s) {
-          if (slots[s].size() < slots[target].size()) target = s;
-        }
-        slots[target].insert(slots[target].end(), jobs->begin(), jobs->end());
-      }
-      pool_.ParallelFor(slots.size(), [&](size_t slot, size_t worker) {
-        for (size_t index : slots[slot]) solve_one(index, worker);
-      });
-    }
-  }
+  pool_.ParallelFor(queries.size(), solve_one);
 
   if (tracing) {
     // Queries that bailed out early (mid-batch reject, deadline) return

@@ -91,28 +91,9 @@ struct FannrQuery {
   std::optional<double> deadline_ms;
 };
 
-/// How Run() maps jobs onto workers. Either way the output is bitwise
-/// identical (the determinism invariant in the header comment): results
-/// land by job index and each job is solved end to end by one worker, so
-/// scheduling only moves work, never changes it.
-enum class BatchSchedule {
-  /// Workers pull job indices from a shared atomic counter (dynamic load
-  /// balancing; good when query costs vary wildly).
-  kDynamic,
-  /// Jobs are grouped by P-set signature (hash of the sorted data point
-  /// ids) and each group is pinned to one worker slot, so queries sharing
-  /// P land on the same worker and hit that worker's warm solver scratch
-  /// (and cache shard affinity) instead of relying on the shared LRU.
-  /// Slots are balanced greedily by group size, deterministically.
-  kLocality,
-};
-
 struct BatchOptions {
   /// Worker threads (0 = hardware_concurrency).
   size_t num_threads = 1;
-
-  /// Job-to-worker mapping policy; see BatchSchedule.
-  BatchSchedule schedule = BatchSchedule::kDynamic;
 
   /// Which g_phi oracle the workers use. nullopt (default) selects the
   /// Cached-SSSP oracle, which shares settled distances through the
@@ -124,23 +105,12 @@ struct BatchOptions {
   /// and batches. Disabled, each evaluation recomputes its SSSP.
   bool share_distance_cache = true;
 
-  /// Call PrewarmScratch() on every worker engine at construction: each
-  /// worker's search scratch (notably the Dijkstra frontier, up to
-  /// NumArcs() + 1 entries) is grown to its worst case before the first
-  /// batch, so Run() itself never regrows a heap and the solve phase is
-  /// allocation-free and deterministic in its allocation behavior.
-  /// Costs O(NumArcs()) bytes per worker up front; disable on
-  /// memory-tight deployments with very large graphs. Never affects
-  /// results.
-  bool prewarm_scratch = true;
-
-  /// Shared cache sizing: resident entries (each one |V| Weights) and
-  /// lock stripes. capacity 0 (default) auto-sizes from
+  /// Shared cache sizing: resident entries (each one |V| Weights).
+  /// capacity 0 (default) auto-sizes from
   /// cache_memory_budget_bytes and the graph's vertex count, so the
   /// default stays sane from the TEST preset up to million-vertex maps.
   size_t cache_capacity = 0;
   size_t cache_memory_budget_bytes = size_t{512} << 20;  // 512 MiB
-  size_t cache_shards = 16;
 
   /// Observability. Enabled, every Run() records a QueryTrace per job,
   /// publishes into the engine's metrics registry, feeds the slow-query

@@ -416,6 +416,36 @@ void FrontEnd::EnqueueError(const std::shared_ptr<Connection>& conn,
   Enqueue(conn, Opcode::kError, request_id, EncodeErrorResponse(response));
 }
 
+std::vector<uint8_t>& Outbox::For(const std::shared_ptr<Connection>& conn) {
+  if (used_ > 0 && entries_[used_ - 1].conn == conn) {
+    return entries_[used_ - 1].frames;
+  }
+  for (size_t i = 0; i < used_; ++i) {
+    if (entries_[i].conn == conn) return entries_[i].frames;
+  }
+  if (used_ == entries_.size()) entries_.emplace_back();
+  Entry& entry = entries_[used_++];
+  entry.conn = conn;
+  return entry.frames;
+}
+
+size_t Outbox::Collected(const Connection& conn) const {
+  for (size_t i = 0; i < used_; ++i) {
+    if (entries_[i].conn.get() == &conn) return entries_[i].frames.size();
+  }
+  return 0;
+}
+
+void Outbox::HandOver(FrontEnd& front_end) {
+  for (size_t i = 0; i < used_; ++i) {
+    Entry& entry = entries_[i];
+    front_end.EnqueueEncoded(entry.conn, entry.frames);
+    entry.conn.reset();  // a closed connection is not kept alive here
+    entry.frames.clear();
+  }
+  used_ = 0;
+}
+
 size_t FrontEnd::Backlog(Connection& conn) {
   std::lock_guard<std::mutex> lock(conn.out_mu);
   return conn.out.size();

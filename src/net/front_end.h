@@ -177,6 +177,32 @@ class FrontEnd {
   std::atomic<size_t> next_loop_{0};  ///< Round-robin placement.
 };
 
+/// Frames of one burst (a server's query burst or subscription wave, a
+/// router's merged answers), collected per connection in first-frame
+/// order so each connection is handed to the front end once
+/// (FrontEnd::EnqueueEncoded). One thread only; the buffers keep their
+/// capacity from burst to burst.
+class Outbox {
+ public:
+  /// `conn`'s frame buffer in this burst (appended to in place). The
+  /// last connection asked for is checked first: a client's requests are
+  /// consecutive in a burst, so that lookup is O(1) per frame.
+  std::vector<uint8_t>& For(const std::shared_ptr<Connection>& conn);
+  /// Bytes collected for `conn` so far in this burst.
+  size_t Collected(const Connection& conn) const;
+  /// Hands every connection's frames to `front_end` and empties the
+  /// outbox.
+  void HandOver(FrontEnd& front_end);
+
+ private:
+  struct Entry {
+    std::shared_ptr<Connection> conn;
+    std::vector<uint8_t> frames;
+  };
+  std::vector<Entry> entries_;
+  size_t used_ = 0;  ///< entries_[0, used_) belong to this burst.
+};
+
 }  // namespace fannr::net
 
 #endif  // FANNR_NET_FRONT_END_H_

@@ -1,6 +1,7 @@
 #include "net/protocol.h"
 
 #include <cmath>
+#include <utility>
 
 namespace fannr::net {
 
@@ -478,6 +479,29 @@ WireResult ToWire(const FannResult& result) {
     wire.error = result.error;
   }
   return wire;
+}
+
+WireResult RejectedWire(std::string error) {
+  WireResult r;
+  r.status = static_cast<uint8_t>(QueryStatus::kRejected);
+  r.error = std::move(error);
+  return r;
+}
+
+WireResult TimedOutWire(std::string error) {
+  WireResult r;
+  r.status = static_cast<uint8_t>(QueryStatus::kTimedOut);
+  r.error = std::move(error);
+  return r;
+}
+
+double EffectiveDeadlineMs(double job_ms, double batch_ms,
+                           double server_default_ms) {
+  auto usable = [](double v) { return std::isfinite(v) && v > 0.0; };
+  if (usable(job_ms)) return job_ms;
+  if (usable(batch_ms)) return batch_ms;
+  if (usable(server_default_ms)) return server_default_ms;
+  return 0.0;
 }
 
 bool SameVisibleAnswer(const WireResult& a, const WireResult& b) {

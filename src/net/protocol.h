@@ -337,6 +337,16 @@ bool DecodeErrorResponse(std::span<const uint8_t> payload,
 WireResult ToWire(const FannResult& result);
 FannResult FromWire(const WireResult& wire);
 
+/// A job's answer when it never reached the engine: rejected at
+/// screening, or timed out before it ran.
+WireResult RejectedWire(std::string error);
+WireResult TimedOutWire(std::string error);
+
+/// Effective deadline of one wire job: its own value when positive and
+/// finite, else the batch default, else the server default; 0 = none.
+double EffectiveDeadlineMs(double job_ms, double batch_ms,
+                           double server_default_ms);
+
 /// True when two results carry the same visible answer: status, best,
 /// bitwise distance, subset, and error — but NOT gphi_evaluations (a
 /// work counter: two epochs can produce the identical answer with

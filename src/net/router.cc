@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <unordered_map>
 #include <utility>
 
@@ -27,16 +26,6 @@ constexpr size_t kMaxClientConnections = 1024;
 
 /// How long Wait lets unanswered requests finish before closing.
 constexpr double kDrainCapMs = 10'000.0;
-
-/// Whether a deadline counts: the shard's EffectiveDeadlineMs rule.
-bool UsableDeadline(double ms) { return std::isfinite(ms) && ms > 0.0; }
-
-WireResult RejectedWire(std::string error) {
-  WireResult r;
-  r.status = static_cast<uint8_t>(QueryStatus::kRejected);
-  r.error = std::move(error);
-  return r;
-}
 
 /// Canonical total order over feasible answers: the exact solvers all
 /// return the (distance, vertex id)-minimal answer within their P, so
@@ -394,12 +383,10 @@ void FannRouter::OnFrame(const std::shared_ptr<Connection>& conn,
         return;
       }
       // Jobs of many requests share one sub-batch, so the batch-level
-      // deadline moves into every job without a usable one of its own:
-      // the shard's EffectiveDeadlineMs rule, applied here.
+      // deadline moves into every job without a usable one of its own.
       for (WireQuery& job : request.jobs) {
-        if (!UsableDeadline(job.deadline_ms)) {
-          job.deadline_ms = request.deadline_ms;
-        }
+        job.deadline_ms =
+            EffectiveDeadlineMs(job.deadline_ms, request.deadline_ms, 0.0);
       }
       AddRequest(conn, id, /*is_query=*/false, std::move(request.jobs));
       return;
@@ -686,6 +673,9 @@ void FannRouter::Complete(const std::shared_ptr<Burst>& burst) {
       per_job[r][j].push_back(std::move(a));
     }
   }
+  // Each client connection's answers are handed over once; Answered
+  // follows the hand-over, so an UPDATE_WEIGHTS it releases goes out
+  // behind the answers it waited for.
   for (size_t r = 0; r < burst->requests.size(); ++r) {
     const Burst::Request& request = burst->requests[r];
     std::vector<WireResult> results(request.num_jobs);
@@ -694,19 +684,23 @@ void FannRouter::Complete(const std::shared_ptr<Burst>& burst) {
                        ? MergeShardAnswers(per_job[r][j]).result
                        : RejectedWire(stale_reason);
     }
+    std::vector<uint8_t>& frames = outbox_.For(request.client);
     if (request.is_query) {
       QueryResponse response;
       response.graph_epoch = verdict.graph_epoch;
       response.result = std::move(results.front());
-      front_end_->Enqueue(request.client, Opcode::kQueryResult,
-                          request.request_id, EncodeQueryResponse(response));
+      AppendFrame(static_cast<uint16_t>(Opcode::kQueryResult),
+                  request.request_id, EncodeQueryResponse(response), frames);
     } else {
       BatchResponse response;
       response.graph_epoch = verdict.graph_epoch;
       response.results = std::move(results);
-      front_end_->Enqueue(request.client, Opcode::kBatchResult,
-                          request.request_id, EncodeBatchResponse(response));
+      AppendFrame(static_cast<uint16_t>(Opcode::kBatchResult),
+                  request.request_id, EncodeBatchResponse(response), frames);
     }
+  }
+  outbox_.HandOver(*front_end_);
+  for (const Burst::Request& request : burst->requests) {
     Answered(request.client);
   }
 }

@@ -229,6 +229,7 @@ class FannRouter : private FrameHandler {
   std::unordered_map<const Connection*, ClientState> clients_;
   std::shared_ptr<Burst> open_burst_;
   uint64_t next_sub_batch_id_ = 1;
+  Outbox outbox_;  ///< A completed burst's answers, per client.
 
   std::mutex control_mu_;
   std::condition_variable control_cv_;

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <utility>
 
 #include "common/thread_name.h"
@@ -19,30 +18,9 @@ namespace fannr::net {
 
 namespace {
 
-/// Effective deadline of one wire job: its own value when positive and
-/// finite, else the batch default, else the server default; 0 = none.
-double EffectiveDeadlineMs(double job_ms, double batch_ms,
-                          double server_default_ms) {
-  auto usable = [](double v) { return std::isfinite(v) && v > 0.0; };
-  if (usable(job_ms)) return job_ms;
-  if (usable(batch_ms)) return batch_ms;
-  if (usable(server_default_ms)) return server_default_ms;
-  return 0.0;
-}
-
-WireResult RejectedWire(std::string error) {
-  WireResult r;
-  r.status = static_cast<uint8_t>(QueryStatus::kRejected);
-  r.error = std::move(error);
-  return r;
-}
-
-WireResult TimedOutWire(std::string error) {
-  WireResult r;
-  r.status = static_cast<uint8_t>(QueryStatus::kTimedOut);
-  r.error = std::move(error);
-  return r;
-}
+/// Most consecutive same-epoch QUERY items merged into one engine Run
+/// (pipelining dispatch amortization).
+constexpr size_t kMergeBudget = 64;
 
 std::string Num(double value) {
   char buf[64];
@@ -67,8 +45,10 @@ struct FannServer::WorkItem {
   uint64_t request_id = 0;
   QueryRequest query;
   BatchRequest batch;
+  /// UPDATE_WEIGHTS and REPL_APPLY entries; repl_position is the epoch a
+  /// REPL_APPLY's entries apply on top of.
   UpdateWeightsRequest update;
-  ReplApplyRequest repl;
+  GraphEpoch repl_position = 0;
   SubscribeRequest subscribe;
   UnsubscribeRequest unsubscribe;
   /// Graph epoch at admission; QUERY/BATCH items are rejected at
@@ -191,12 +171,12 @@ void FannServer::OnFrame(const std::shared_ptr<Connection>& conn,
   const Opcode opcode = static_cast<Opcode>(header.opcode);
   if (opcode == Opcode::kPing) {
     metrics_.Add(m_req_ping_, 1);
-    EnqueueFrame(conn, Opcode::kPong, header.request_id, {});
+    front_end_->Enqueue(conn, Opcode::kPong, header.request_id, {});
     return;
   }
   if (opcode == Opcode::kShutdown) {
     metrics_.Add(m_req_shutdown_, 1);
-    EnqueueFrame(conn, Opcode::kShutdownAck, header.request_id, {});
+    front_end_->Enqueue(conn, Opcode::kShutdownAck, header.request_id, {});
     RequestShutdown();
     return;
   }
@@ -220,10 +200,14 @@ void FannServer::OnFrame(const std::shared_ptr<Connection>& conn,
       metrics_.Add(m_req_update_, 1);
       decoded = DecodeUpdateWeightsRequest(cut.payload, item.update);
       break;
-    case Opcode::kReplApply:
+    case Opcode::kReplApply: {
       metrics_.Add(m_req_repl_, 1);
-      decoded = DecodeReplApplyRequest(cut.payload, item.repl);
+      ReplApplyRequest repl;
+      decoded = DecodeReplApplyRequest(cut.payload, repl);
+      item.update.entries = std::move(repl.entries);
+      item.repl_position = repl.position;
       break;
+    }
     case Opcode::kStats:
       metrics_.Add(m_req_stats_, 1);
       decoded = cut.payload.empty();
@@ -241,26 +225,28 @@ void FannServer::OnFrame(const std::shared_ptr<Connection>& conn,
   }
   if (!decoded) {
     metrics_.Add(m_errors_, 1);
-    EnqueueError(conn, header.request_id, ErrorCode::kMalformedPayload,
-                 std::string(OpcodeName(header.opcode)) +
-                     " payload failed to decode");
+    front_end_->EnqueueError(conn, header.request_id,
+                             ErrorCode::kMalformedPayload,
+                             std::string(OpcodeName(header.opcode)) +
+                                 " payload failed to decode");
     return;
   }
   if (draining()) {
     metrics_.Add(m_errors_, 1);
-    EnqueueError(conn, header.request_id, ErrorCode::kShuttingDown,
-                 "server is draining — no new work accepted");
+    front_end_->EnqueueError(conn, header.request_id,
+                             ErrorCode::kShuttingDown,
+                             "server is draining — no new work accepted");
     return;
   }
 
   item.admission_epoch = graph_->epoch();
   item.e2e_timer.Reset();
-  // A full burst (merge_budget items, or the whole queue if smaller)
+  // A full burst (kMergeBudget items, or the whole queue if smaller)
   // does not wait for the pass end: a pass reads each ready connection
   // dry, and an executor left asleep meanwhile would let one pipelining
   // client fill the queue and be shed for the rest of its write.
   const size_t full_burst = std::max<size_t>(
-      std::min(config_.merge_budget, config_.max_queue_depth), 1);
+      std::min(kMergeBudget, config_.max_queue_depth), 1);
   bool admitted = false;
   bool wake_now = false;
   {
@@ -281,10 +267,10 @@ void FannServer::OnFrame(const std::shared_ptr<Connection>& conn,
     // Bounded admission: shed the request explicitly instead of
     // buffering without limit. The client retries with backoff.
     metrics_.Add(m_overloaded_, 1);
-    EnqueueError(conn, header.request_id, ErrorCode::kOverloaded,
-                 "admission queue full (" +
-                     std::to_string(config_.max_queue_depth) +
-                     " pending) — retry later");
+    front_end_->EnqueueError(conn, header.request_id, ErrorCode::kOverloaded,
+                             "admission queue full (" +
+                                 std::to_string(config_.max_queue_depth) +
+                                 " pending) — retry later");
   }
 }
 
@@ -323,8 +309,7 @@ void FannServer::ExecutorMain() {
     std::vector<WorkItem> burst;
     burst.push_back(std::move(first));
     if (burst[0].opcode == Opcode::kQuery) {
-      const size_t budget = std::max<size_t>(config_.merge_budget, 1);
-      while (burst.size() < budget) {
+      while (burst.size() < kMergeBudget) {
         WorkItem extra;
         {
           std::lock_guard<std::mutex> lock(queue_mu_);
@@ -359,8 +344,9 @@ void FannServer::ExecutorMain() {
         // Past the drain budget: answer, don't compute.
         aborted_items_.fetch_add(1, std::memory_order_relaxed);
         metrics_.Add(m_errors_, 1);
-        EnqueueError(item.conn, item.request_id, ErrorCode::kShuttingDown,
-                     "drain deadline exceeded — request aborted");
+        front_end_->EnqueueError(item.conn, item.request_id,
+                                 ErrorCode::kShuttingDown,
+                                 "drain deadline exceeded — request aborted");
         continue;
       }
       live.push_back(&item);
@@ -386,11 +372,8 @@ void FannServer::Execute(WorkItem& item) {
       metrics_.Record(m_e2e_batch_ms_, item.e2e_timer.Millis());
       break;
     case Opcode::kUpdateWeights:
-      ExecuteUpdate(item);
-      metrics_.Record(m_e2e_update_ms_, item.e2e_timer.Millis());
-      break;
     case Opcode::kReplApply:
-      ExecuteReplApply(item);
+      ExecuteUpdate(item);
       metrics_.Record(m_e2e_update_ms_, item.e2e_timer.Millis());
       break;
     case Opcode::kStats:
@@ -408,114 +391,108 @@ void FannServer::Execute(WorkItem& item) {
   }
 }
 
-std::string FannServer::MaterializeSets(
-    const WireQuery& wire, std::unique_ptr<IndexedVertexSet>& p,
-    std::unique_ptr<IndexedVertexSet>& q) const {
-  const size_t num_vertices = graph_->NumVertices();
-  std::string error;
-  p = IndexedVertexSet::TryCreate(
-      num_vertices, std::vector<VertexId>(wire.p.begin(), wire.p.end()),
-      &error);
-  if (p == nullptr) return "data point set P " + error;
-  q = IndexedVertexSet::TryCreate(
-      num_vertices, std::vector<VertexId>(wire.q.begin(), wire.q.end()),
-      &error);
-  if (q == nullptr) return "query point set Q " + error;
-  return std::string();
-}
-
-bool FannServer::ScreenJob(const WireQuery& wire, double batch_deadline_ms,
-                           const Timer& e2e_timer,
-                           std::vector<std::unique_ptr<IndexedVertexSet>>& sets,
-                           std::vector<FannrQuery>& runnable,
-                           WireResult* rejected) {
-  if (wire.algorithm > static_cast<uint8_t>(FannAlgorithm::kApxSum)) {
-    *rejected = RejectedWire("unknown algorithm enumerator " +
-                             std::to_string(wire.algorithm));
-    return false;
-  }
-  if (wire.aggregate > static_cast<uint8_t>(Aggregate::kSum)) {
-    *rejected = RejectedWire("unknown aggregate enumerator " +
-                             std::to_string(wire.aggregate));
-    return false;
-  }
-  std::unique_ptr<IndexedVertexSet> p;
-  std::unique_ptr<IndexedVertexSet> q;
-  std::string error = MaterializeSets(wire, p, q);
-  if (!error.empty()) {
-    *rejected = RejectedWire(std::move(error));
-    return false;
-  }
-  const double deadline_ms = EffectiveDeadlineMs(
-      wire.deadline_ms, batch_deadline_ms, config_.default_deadline_ms);
-  std::optional<double> engine_deadline;
-  if (deadline_ms > 0.0) {
-    // End-to-end: the time already spent queued counts against the
-    // deadline; the engine measures the rest from Run() entry.
-    const double remaining = deadline_ms - e2e_timer.Millis();
-    if (remaining <= 0.0) {
-      *rejected = TimedOutWire("deadline of " + std::to_string(deadline_ms) +
-                               " ms exceeded in the admission queue");
-      return false;
-    }
-    engine_deadline = remaining;
-  }
-
-  FannrQuery job;
-  job.query.graph = graph_;
-  job.query.data_points = p.get();
-  job.query.query_points = q.get();
-  job.query.phi = wire.phi;
-  job.query.aggregate = static_cast<Aggregate>(wire.aggregate);
-  // Weights point into the wire request, which outlives the engine Run
-  // at every call site (the WorkItem for one-shot work, the
-  // subscription table entry for re-evaluations). Value validation
-  // (finite, > 0, |Q|-sized) is the engine's screening, so weighted
-  // wire jobs reject with the same reasons in-process callers see.
-  if (!wire.weights.empty()) job.query.weights = &wire.weights;
-  job.algorithm = static_cast<FannAlgorithm>(wire.algorithm);
-  job.deadline_ms = engine_deadline;
-  sets.push_back(std::move(p));
-  sets.push_back(std::move(q));
-  runnable.push_back(job);
-  return true;
-}
-
-void FannServer::ExecuteQueryBurst(const std::vector<WorkItem*>& items) {
-  for (const WorkItem* item : items) {
-    metrics_.Record(m_queue_wait_ms_, item->e2e_timer.Millis());
-  }
-
+std::vector<WireResult> FannServer::SolveWire(std::span<const WireJob> jobs,
+                                              std::string_view tag) {
+  // Net-level screening (admission epoch, enum ranges, id validity,
+  // deadlines spent queued) fills result slots directly; everything else
+  // goes to the engine in one Run so in-process semantics — validation
+  // reasons, epoch checks, fallbacks, tracing — apply verbatim.
   const GraphEpoch now = graph_->epoch();
-  std::vector<WireResult> results(items.size());
+  const size_t num_vertices = graph_->NumVertices();
+  std::vector<WireResult> results(jobs.size());
   std::vector<std::unique_ptr<IndexedVertexSet>> sets;
   std::vector<FannrQuery> runnable;
   std::vector<size_t> runnable_slot;
-  for (size_t i = 0; i < items.size(); ++i) {
-    WorkItem& item = *items[i];
-    if (now != item.admission_epoch) {
-      metrics_.Add(m_stale_admission_, 1);
-      results[i] = RejectedWire(MidBatchEpochError(item.admission_epoch, now));
+  const Timer* last_stale = nullptr;
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    const WireJob& job = jobs[i];
+    const WireQuery& wire = *job.query;
+    if (job.admission_epoch != now) {
+      // The jobs of one request share its clock: count the request once.
+      if (job.clock != last_stale) metrics_.Add(m_stale_admission_, 1);
+      last_stale = job.clock;
+      results[i] = RejectedWire(MidBatchEpochError(job.admission_epoch, now));
       continue;
     }
-    WireResult rejected;
-    if (ScreenJob(item.query.query, /*batch_deadline_ms=*/0.0, item.e2e_timer,
-                  sets, runnable, &rejected)) {
-      runnable_slot.push_back(i);
-    } else {
-      results[i] = std::move(rejected);
+    if (wire.algorithm > static_cast<uint8_t>(FannAlgorithm::kApxSum)) {
+      results[i] = RejectedWire("unknown algorithm enumerator " +
+                                std::to_string(wire.algorithm));
+      continue;
     }
+    if (wire.aggregate > static_cast<uint8_t>(Aggregate::kSum)) {
+      results[i] = RejectedWire("unknown aggregate enumerator " +
+                                std::to_string(wire.aggregate));
+      continue;
+    }
+    // Any id violation becomes a kRejected result, never UB.
+    std::string error;
+    std::unique_ptr<IndexedVertexSet> p = IndexedVertexSet::TryCreate(
+        num_vertices, std::vector<VertexId>(wire.p.begin(), wire.p.end()),
+        &error);
+    if (p == nullptr) {
+      results[i] = RejectedWire("data point set P " + error);
+      continue;
+    }
+    std::unique_ptr<IndexedVertexSet> q = IndexedVertexSet::TryCreate(
+        num_vertices, std::vector<VertexId>(wire.q.begin(), wire.q.end()),
+        &error);
+    if (q == nullptr) {
+      results[i] = RejectedWire("query point set Q " + error);
+      continue;
+    }
+    FannrQuery run;
+    const double deadline_ms = EffectiveDeadlineMs(
+        wire.deadline_ms, job.batch_deadline_ms, config_.default_deadline_ms);
+    if (deadline_ms > 0.0) {
+      // End-to-end: the time already spent queued counts against the
+      // deadline; the engine measures the rest from Run() entry.
+      const double remaining = deadline_ms - job.clock->Millis();
+      if (remaining <= 0.0) {
+        results[i] = TimedOutWire("deadline of " +
+                                  std::to_string(deadline_ms) +
+                                  " ms exceeded in the admission queue");
+        continue;
+      }
+      run.deadline_ms = remaining;
+    }
+    run.query.graph = graph_;
+    run.query.data_points = p.get();
+    run.query.query_points = q.get();
+    run.query.phi = wire.phi;
+    run.query.aggregate = static_cast<Aggregate>(wire.aggregate);
+    // Weights point into the wire request, which outlives the engine Run
+    // at every call site (the WorkItem for one-shot work, the
+    // subscription table entry for re-evaluations). Value validation
+    // (finite, > 0, |Q|-sized) is the engine's screening, so weighted
+    // wire jobs reject with the same reasons in-process callers see.
+    if (!wire.weights.empty()) run.query.weights = &wire.weights;
+    run.algorithm = static_cast<FannAlgorithm>(wire.algorithm);
+    sets.push_back(std::move(p));
+    sets.push_back(std::move(q));
+    runnable.push_back(run);
+    runnable_slot.push_back(i);
   }
-
   if (!runnable.empty()) {
-    const std::vector<FannResult> solved = engine_->Run(runnable);
+    const std::vector<FannResult> solved = engine_->Run(runnable, tag);
     for (size_t j = 0; j < solved.size(); ++j) {
       results[runnable_slot[j]] = ToWire(solved[j]);
     }
   }
+  return results;
+}
+
+void FannServer::ExecuteQueryBurst(const std::vector<WorkItem*>& items) {
+  wire_jobs_.clear();
+  for (const WorkItem* item : items) {
+    metrics_.Record(m_queue_wait_ms_, item->e2e_timer.Millis());
+    wire_jobs_.push_back({&item->query.query, /*batch_deadline_ms=*/0.0,
+                          &item->e2e_timer, item->admission_epoch});
+  }
+  std::vector<WireResult> results = SolveWire(wire_jobs_, {});
 
   // Answers are collected per connection (in request order within
   // each) and every connection is handed to its loop once.
+  const GraphEpoch now = graph_->epoch();
   for (size_t i = 0; i < items.size(); ++i) {
     WorkItem& item = *items[i];
     QueryResponse response;
@@ -529,142 +506,74 @@ void FannServer::ExecuteQueryBurst(const std::vector<WorkItem*>& items) {
 }
 
 void FannServer::ExecuteBatch(WorkItem& item) {
-  const GraphEpoch now = graph_->epoch();
-  if (now != item.admission_epoch) {
-    metrics_.Add(m_stale_admission_, 1);
-    BatchResponse response;
-    response.graph_epoch = now;
-    response.results.assign(
-        item.batch.jobs.size(),
-        RejectedWire(MidBatchEpochError(item.admission_epoch, now)));
-    EnqueueFrame(item.conn, Opcode::kBatchResult, item.request_id,
-                 EncodeBatchResponse(response));
-    return;
+  wire_jobs_.clear();
+  for (const WireQuery& wire : item.batch.jobs) {
+    wire_jobs_.push_back({&wire, item.batch.deadline_ms, &item.e2e_timer,
+                          item.admission_epoch});
   }
-  BatchResponse response = RunJobs(item);
-  EnqueueFrame(item.conn, Opcode::kBatchResult, item.request_id,
-               EncodeBatchResponse(response));
-}
-
-BatchResponse FannServer::RunJobs(WorkItem& item) {
-  const std::vector<WireQuery>& jobs = item.batch.jobs;
   BatchResponse response;
   response.graph_epoch = graph_->epoch();
-  response.results.resize(jobs.size());
-
-  // Net-level screening (id validity, enum ranges, expired deadlines)
-  // fills result slots directly; everything else goes to the engine in
-  // one Run so in-process semantics — validation reasons, epoch checks,
-  // fallbacks, tracing — apply verbatim.
-  std::vector<std::unique_ptr<IndexedVertexSet>> sets;
-  std::vector<FannrQuery> runnable;
-  std::vector<size_t> runnable_slot;
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    WireResult rejected;
-    if (ScreenJob(jobs[i], item.batch.deadline_ms, item.e2e_timer, sets,
-                  runnable, &rejected)) {
-      runnable_slot.push_back(i);
-    } else {
-      response.results[i] = std::move(rejected);
-    }
-  }
-
-  if (!runnable.empty()) {
-    const std::vector<FannResult> results = engine_->Run(runnable);
-    for (size_t j = 0; j < results.size(); ++j) {
-      response.results[runnable_slot[j]] = ToWire(results[j]);
-    }
-  }
-  return response;
+  response.results = SolveWire(wire_jobs_, {});
+  front_end_->Enqueue(item.conn, Opcode::kBatchResult, item.request_id,
+                      EncodeBatchResponse(response));
 }
 
 void FannServer::ExecuteUpdate(WorkItem& item) {
-  UpdateWeightsResponse response;
-  dynamic::UpdateBatch batch;
-  for (const UpdateWeightsRequest::Entry& e : item.update.entries) {
-    batch.SetWeight(e.u, e.v, e.weight);
-  }
-  // Screen before Apply — Apply aborts on invalid entries by contract,
-  // and frames are untrusted input.
-  const std::string error = batch.ValidationError(*graph_);
-  if (!error.empty()) {
-    response.status = 1;
-    response.error = error;
-  } else {
-    // Safe to mutate: the executor is the only thread running queries,
-    // so no reader can race this apply (Graph's contract).
-    const dynamic::ApplyResult applied = batch.Apply(*graph_);
-    response.status = 0;
-    response.applied = applied.applied;
-    response.missing = applied.missing;
-    response.old_epoch = applied.old_epoch;
-    response.new_epoch = applied.new_epoch;
-    LogToWal(item.update.entries, applied);
-  }
-  EnqueueFrame(item.conn, Opcode::kUpdateResult, item.request_id,
-               EncodeUpdateWeightsResponse(response));
-  // Standing queries re-solve against the new epoch after the updater's
-  // ACK is already on its way out.
-  if (response.status == 0 && response.new_epoch != response.old_epoch) {
-    ReevaluateSubscriptions();
-  }
-}
-
-void FannServer::LogToWal(
-    const std::vector<UpdateWeightsRequest::Entry>& entries,
-    const dynamic::ApplyResult& applied) {
-  if (config_.wal == nullptr) return;
-  dynamic::WalRecord record;
-  record.position = applied.old_epoch;
-  record.new_epoch = applied.new_epoch;
-  record.entries.reserve(entries.size());
-  for (const UpdateWeightsRequest::Entry& e : entries) {
-    record.entries.push_back({e.u, e.v, e.weight});
-  }
-  // Durability failure is not an answer-path failure: the batch IS
-  // applied; a lost record only costs replay depth after a crash.
-  (void)config_.wal->Append(record);
-}
-
-void FannServer::ExecuteReplApply(WorkItem& item) {
+  const bool repl = item.opcode == Opcode::kReplApply;
+  const std::vector<UpdateWeightsRequest::Entry>& entries =
+      item.update.entries;
   UpdateWeightsResponse response;
   const GraphEpoch now = graph_->epoch();
-  if (now != item.repl.position) {
+  dynamic::UpdateBatch batch;
+  for (const UpdateWeightsRequest::Entry& e : entries) {
+    batch.SetWeight(e.u, e.v, e.weight);
+  }
+  // Screened before Apply: Apply aborts on invalid entries by contract,
+  // and frames are untrusted input.
+  std::string error = batch.ValidationError(*graph_);
+  if (repl && item.repl_position != now) {
     // Out-of-position batch: applying it would fork this replica's
     // weight history from the others'. Refuse and report where we are;
     // the sender decides whether to rewind or catch us up.
     response.status = 2;
     response.new_epoch = now;
     response.error = "replication position " +
-                     std::to_string(item.repl.position) +
+                     std::to_string(item.repl_position) +
                      " does not match graph epoch " + std::to_string(now);
-  } else if (item.repl.entries.empty()) {
+  } else if (repl && entries.empty()) {
     // Pure position probe: confirm without touching the graph.
-    response.status = 0;
     response.old_epoch = now;
     response.new_epoch = now;
+  } else if (!error.empty()) {
+    response.status = 1;
+    response.error = std::move(error);
   } else {
-    dynamic::UpdateBatch batch;
-    for (const UpdateWeightsRequest::Entry& e : item.repl.entries) {
-      batch.SetWeight(e.u, e.v, e.weight);
-    }
-    const std::string error = batch.ValidationError(*graph_);
-    if (!error.empty()) {
-      response.status = 1;
-      response.error = error;
-    } else {
-      const dynamic::ApplyResult applied = batch.Apply(*graph_);
-      response.status = 0;
-      response.applied = applied.applied;
-      response.missing = applied.missing;
-      response.old_epoch = applied.old_epoch;
-      response.new_epoch = applied.new_epoch;
-      LogToWal(item.repl.entries, applied);
+    // Safe to mutate: the executor is the only thread running queries,
+    // so no reader can race this apply (Graph's contract).
+    const dynamic::ApplyResult applied = batch.Apply(*graph_);
+    response.applied = applied.applied;
+    response.missing = applied.missing;
+    response.old_epoch = applied.old_epoch;
+    response.new_epoch = applied.new_epoch;
+    if (config_.wal != nullptr) {
+      dynamic::WalRecord record;
+      record.position = applied.old_epoch;
+      record.new_epoch = applied.new_epoch;
+      record.entries.reserve(entries.size());
+      for (const UpdateWeightsRequest::Entry& e : entries) {
+        record.entries.push_back({e.u, e.v, e.weight});
+      }
+      // Durability failure is not an answer-path failure: the batch IS
+      // applied; a lost record only costs replay depth after a crash.
+      (void)config_.wal->Append(record);
     }
   }
-  EnqueueFrame(item.conn, Opcode::kReplApplyResult, item.request_id,
-               EncodeUpdateWeightsResponse(response));
-  // Replicated updates drive subscriptions exactly like direct ones.
+  front_end_->Enqueue(item.conn,
+                      repl ? Opcode::kReplApplyResult : Opcode::kUpdateResult,
+                      item.request_id, EncodeUpdateWeightsResponse(response));
+  // Standing queries re-solve against the new epoch after the updater's
+  // ACK is already on its way out; replicated updates drive them exactly
+  // like direct ones.
   if (response.status == 0 && response.new_epoch != response.old_epoch) {
     ReevaluateSubscriptions();
   }
@@ -684,15 +593,18 @@ void FannServer::ExecuteSubscribe(WorkItem& item) {
            config_.max_subscriptions_per_connection)) {
     metrics_.Add(m_overloaded_, 1);
     metrics_.Set(m_subs_active_, static_cast<double>(subs_->size()));
-    EnqueueError(item.conn, item.request_id, ErrorCode::kOverloaded,
-                 "subscription limit reached — unsubscribe or retry later");
+    front_end_->EnqueueError(
+        item.conn, item.request_id, ErrorCode::kOverloaded,
+        "subscription limit reached — unsubscribe or retry later");
     return;
   }
   if (subs_->Find(item.conn.get(), item.request_id) != nullptr) {
     metrics_.Add(m_errors_, 1);
-    EnqueueError(item.conn, item.request_id, ErrorCode::kMalformedPayload,
-                 "subscription id " + std::to_string(item.request_id) +
-                     " is already live on this connection");
+    front_end_->EnqueueError(item.conn, item.request_id,
+                             ErrorCode::kMalformedPayload,
+                             "subscription id " +
+                                 std::to_string(item.request_id) +
+                                 " is already live on this connection");
     return;
   }
 
@@ -700,17 +612,10 @@ void FannServer::ExecuteSubscribe(WorkItem& item) {
   // no stale-admission contract — its whole point is to track epochs).
   SubscribeResponse response;
   response.graph_epoch = graph_->epoch();
-  std::vector<std::unique_ptr<IndexedVertexSet>> sets;
-  std::vector<FannrQuery> runnable;
-  WireResult rejected;
-  if (!ScreenJob(item.subscribe.query, /*batch_deadline_ms=*/0.0,
-                 item.e2e_timer, sets, runnable, &rejected)) {
-    response.result = std::move(rejected);
-  } else {
-    const std::vector<FannResult> solved =
-        engine_->Run(runnable, "subscription-initial");
-    response.result = ToWire(solved[0]);
-  }
+  wire_jobs_.assign(1, {&item.subscribe.query, /*batch_deadline_ms=*/0.0,
+                        &item.e2e_timer, response.graph_epoch});
+  response.result =
+      std::move(SolveWire(wire_jobs_, "subscription-initial").front());
 
   // Registration succeeds iff the initial answer is kOk, so the client
   // reads the outcome off the SUBSCRIBE_RESULT status alone: a rejected
@@ -729,8 +634,8 @@ void FannServer::ExecuteSubscribe(WorkItem& item) {
     FANNR_CHECK(outcome == cont::SubscribeOutcome::kOk);
     metrics_.Set(m_subs_active_, static_cast<double>(subs_->size()));
   }
-  EnqueueFrame(item.conn, Opcode::kSubscribeResult, item.request_id,
-               EncodeSubscribeResponse(response));
+  front_end_->Enqueue(item.conn, Opcode::kSubscribeResult, item.request_id,
+                      EncodeSubscribeResponse(response));
 }
 
 void FannServer::ExecuteUnsubscribe(WorkItem& item) {
@@ -744,8 +649,8 @@ void FannServer::ExecuteUnsubscribe(WorkItem& item) {
     response.status = 1;
   }
   metrics_.Set(m_subs_active_, static_cast<double>(subs_->size()));
-  EnqueueFrame(item.conn, Opcode::kUnsubscribeResult, item.request_id,
-               EncodeUnsubscribeResponse(response));
+  front_end_->Enqueue(item.conn, Opcode::kUnsubscribeResult, item.request_id,
+                      EncodeUnsubscribeResponse(response));
 }
 
 void FannServer::ReevaluateSubscriptions() {
@@ -767,27 +672,14 @@ void FannServer::ReevaluateSubscriptions() {
   // as they do across pipelined one-shot queries. Composition cannot
   // change any answer (the engine's determinism contract), so a pushed
   // answer is bitwise what a lone solve at this epoch would produce.
-  std::vector<WireResult> results(all.size());
-  std::vector<std::unique_ptr<IndexedVertexSet>> sets;
-  std::vector<FannrQuery> runnable;
-  std::vector<size_t> runnable_slot;
   const Timer reeval_timer;  // deadlines (if configured) start here
-  for (size_t i = 0; i < all.size(); ++i) {
-    WireResult rejected;
-    if (ScreenJob(all[i].query, /*batch_deadline_ms=*/0.0, reeval_timer,
-                  sets, runnable, &rejected)) {
-      runnable_slot.push_back(i);
-    } else {
-      results[i] = std::move(rejected);
-    }
+  wire_jobs_.clear();
+  for (const cont::Subscription& sub : all) {
+    wire_jobs_.push_back(
+        {&sub.query, /*batch_deadline_ms=*/0.0, &reeval_timer, now});
   }
-  if (!runnable.empty()) {
-    const std::vector<FannResult> solved =
-        engine_->Run(runnable, "subscription-reeval");
-    for (size_t j = 0; j < solved.size(); ++j) {
-      results[runnable_slot[j]] = ToWire(solved[j]);
-    }
-  }
+  std::vector<WireResult> results =
+      SolveWire(wire_jobs_, "subscription-reeval");
 
   for (size_t i = 0; i < all.size(); ++i) {
     cont::Subscription& sub = all[i];
@@ -838,39 +730,11 @@ bool FannServer::PushFits(const std::shared_ptr<Connection>& conn) {
          config_.max_outbound_bytes;
 }
 
-std::vector<uint8_t>& FannServer::Outbox::For(
-    const std::shared_ptr<Connection>& conn) {
-  for (size_t i = 0; i < used_; ++i) {
-    if (entries_[i].conn == conn) return entries_[i].frames;
-  }
-  if (used_ == entries_.size()) entries_.emplace_back();
-  Entry& entry = entries_[used_++];
-  entry.conn = conn;
-  return entry.frames;
-}
-
-size_t FannServer::Outbox::Collected(const Connection& conn) const {
-  for (size_t i = 0; i < used_; ++i) {
-    if (entries_[i].conn.get() == &conn) return entries_[i].frames.size();
-  }
-  return 0;
-}
-
-void FannServer::Outbox::HandOver(FrontEnd& front_end) {
-  for (size_t i = 0; i < used_; ++i) {
-    Entry& entry = entries_[i];
-    front_end.EnqueueEncoded(entry.conn, entry.frames);
-    entry.conn.reset();  // a closed connection is not kept alive here
-    entry.frames.clear();
-  }
-  used_ = 0;
-}
-
 void FannServer::ExecuteStats(WorkItem& item) {
   StatsResponse response;
   response.json = StatsJson();
-  EnqueueFrame(item.conn, Opcode::kStatsResult, item.request_id,
-               EncodeStatsResponse(response));
+  front_end_->Enqueue(item.conn, Opcode::kStatsResult, item.request_id,
+                      EncodeStatsResponse(response));
 }
 
 std::string FannServer::StatsJson() const {

@@ -141,7 +141,7 @@ class DijkstraSearch {
   /// slots). Costs O(NumArcs()) bytes of address space; pages are
   /// touched only as the frontier reaches them. Called by batch workers at
   /// construction so the solve phase is allocation-free from the first
-  /// query (see BatchOptions::prewarm_scratch).
+  /// query.
   void ReserveFullSearch();
 
   const Graph& graph() const { return graph_; }

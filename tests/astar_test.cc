@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "graph/builder.h"
-#include "sp/bidirectional.h"
 #include "sp/dijkstra.h"
 #include "test_util.h"
 
@@ -47,37 +45,6 @@ TEST(AStarTest, SettlesNoMoreThanDijkstraTypically) {
   // The goal-directed search should on average settle well under the whole
   // graph per query.
   EXPECT_LT(total_settled, trials * g.NumVertices());
-}
-
-TEST(BidirectionalTest, MatchesDijkstraOnRandomNetworks) {
-  for (uint64_t seed : {31u, 32u}) {
-    Graph g = testing::MakeRandomNetwork(400, seed);
-    BidirectionalSearch bidir(g);
-    DijkstraSearch dijkstra(g);
-    Rng rng(seed);
-    for (int i = 0; i < 25; ++i) {
-      VertexId s = static_cast<VertexId>(rng.NextIndex(g.NumVertices()));
-      VertexId t = static_cast<VertexId>(rng.NextIndex(g.NumVertices()));
-      EXPECT_NEAR(bidir.Distance(s, t), dijkstra.Distance(s, t), 1e-6)
-          << "seed " << seed << " pair " << s << "->" << t;
-    }
-  }
-}
-
-TEST(BidirectionalTest, DisconnectedReturnsInfinity) {
-  GraphBuilder builder(4);
-  builder.AddEdge(0, 1, 1.0);
-  builder.AddEdge(2, 3, 1.0);
-  Graph g = builder.Build();
-  BidirectionalSearch bidir(g);
-  EXPECT_EQ(bidir.Distance(0, 3), kInfWeight);
-  EXPECT_DOUBLE_EQ(bidir.Distance(2, 3), 1.0);
-}
-
-TEST(BidirectionalTest, SelfDistanceZero) {
-  Graph g = testing::MakeLineGraph(3);
-  BidirectionalSearch bidir(g);
-  EXPECT_DOUBLE_EQ(bidir.Distance(2, 2), 0.0);
 }
 
 }  // namespace

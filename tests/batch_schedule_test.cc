@@ -1,10 +1,8 @@
-// BatchSchedule::kLocality (engine/batch_engine.h): grouping jobs by
-// P-set signature and pinning groups to worker slots must not change a
-// single result byte vs the default dynamic schedule, at any thread
-// count, including batches with rejected jobs and value-identical P sets
-// at different addresses. Plus the steady-state allocation contract:
-// with warm per-worker engines, a whole batch runs with zero FlatHeap
-// growths.
+// Steady-state allocation and worker independence of BatchQueryEngine:
+// with warm per-worker engines a whole batch runs with zero FlatHeap
+// growths, for the SSSP-backed solvers and for the solvers on
+// IncrementalNnSearch, and INE answers do not depend on which of four
+// workers ran a job.
 
 #include <algorithm>
 #include <bit>
@@ -40,18 +38,15 @@ struct Workload {
   std::vector<FannrQuery> jobs;
 };
 
-// The locality-relevant shape: many jobs over FEW distinct P sets
-// (so groups are real), two of which are value-identical at different
-// addresses (same signature, merged group), plus a malformed job that
-// is rejected at screening (must be skipped by the grouping), plus a
-// singleton P (its own group).
+// Many jobs over FEW distinct P sets, two of which are value-identical
+// at different addresses, plus a malformed job that is rejected at
+// screening, plus a singleton P.
 Workload MakeSharedPWorkload(const Graph& graph, uint64_t seed) {
   Workload w;
   Rng rng(seed);
   const auto p1_members = testing::SampleVertices(graph, 24, rng);
   const auto& p1 = w.sets.emplace_back(graph.NumVertices(), p1_members);
-  // Same members, reversed insertion order, distinct address: the sorted
-  // signature must still land it in p1's group.
+  // Same members, reversed insertion order, distinct address.
   auto p1_reversed = p1_members;
   std::reverse(p1_reversed.begin(), p1_reversed.end());
   const auto& p1_alias =
@@ -118,80 +113,6 @@ Workload MakeIneWorkload(const Graph& graph, uint64_t seed) {
   return w;
 }
 
-TEST(BatchScheduleTest, LocalityScheduleIsByteIdenticalToDynamic) {
-  const auto& world = testing::FannWorld::Get();
-  const Workload workload = MakeSharedPWorkload(world.graph(), 0x10CA117Au);
-
-  BatchOptions reference_options;
-  reference_options.num_threads = 1;
-  reference_options.share_distance_cache = false;
-  BatchQueryEngine sequential(world.Resources(), reference_options);
-  const auto reference = sequential.Run(workload.jobs);
-  ASSERT_EQ(reference.size(), workload.jobs.size());
-  ASSERT_EQ(reference.back().status, QueryStatus::kRejected);
-
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    for (BatchSchedule schedule :
-         {BatchSchedule::kDynamic, BatchSchedule::kLocality}) {
-      BatchOptions options;
-      options.num_threads = threads;
-      options.schedule = schedule;
-      BatchQueryEngine engine(world.Resources(), options);
-      // Two runs per engine: the second hits a warm shared cache.
-      for (int run = 0; run < 2; ++run) {
-        const auto got = engine.Run(workload.jobs);
-        ASSERT_EQ(got.size(), reference.size());
-        for (size_t i = 0; i < got.size(); ++i) {
-          ExpectByteIdentical(
-              got[i], reference[i],
-              "threads " + std::to_string(threads) + " schedule " +
-                  (schedule == BatchSchedule::kLocality ? "locality"
-                                                        : "dynamic") +
-                  " run " + std::to_string(run) + " job " + std::to_string(i));
-        }
-      }
-    }
-  }
-}
-
-TEST(BatchScheduleTest, LocalityScheduleAnswersMixedAlgorithmBatches) {
-  // IER jobs pull the R-tree built at screening; rejected and runnable
-  // jobs interleave. The locality path must route all of it like the
-  // dynamic path does.
-  const auto& world = testing::FannWorld::Get();
-  const Graph& graph = world.graph();
-  Workload w;
-  Rng rng(77u);
-  const auto& p = w.sets.emplace_back(graph.NumVertices(),
-                                      testing::SampleVertices(graph, 20, rng));
-  for (FannAlgorithm algorithm :
-       {FannAlgorithm::kNaive, FannAlgorithm::kGd, FannAlgorithm::kRList,
-        FannAlgorithm::kIer}) {
-    const auto& q = w.sets.emplace_back(
-        graph.NumVertices(), testing::SampleVertices(graph, 6, rng));
-    FannrQuery job;
-    job.query = FannQuery{&graph, &p, &q, 0.5, Aggregate::kMax};
-    job.algorithm = algorithm;
-    w.jobs.push_back(job);
-  }
-
-  BatchOptions reference_options;
-  reference_options.num_threads = 1;
-  BatchQueryEngine sequential(world.Resources(), reference_options);
-  const auto reference = sequential.Run(w.jobs);
-
-  BatchOptions options;
-  options.num_threads = 4;
-  options.schedule = BatchSchedule::kLocality;
-  BatchQueryEngine engine(world.Resources(), options);
-  const auto got = engine.Run(w.jobs);
-  ASSERT_EQ(got.size(), reference.size());
-  for (size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(got[i].status, QueryStatus::kOk) << "job " << i;
-    ExpectByteIdentical(got[i], reference[i], "job " + std::to_string(i));
-  }
-}
-
 TEST(BatchScheduleTest, WarmEngineRunsBatchesWithZeroHeapGrowths) {
   // The allocation contract behind the thread-scaling gate: after one
   // warmup batch, the persistent per-worker search state (FlatHeap
@@ -204,7 +125,6 @@ TEST(BatchScheduleTest, WarmEngineRunsBatchesWithZeroHeapGrowths) {
   BatchOptions options;
   options.num_threads = 1;
   options.share_distance_cache = false;  // every solve does real SSSP work
-  options.schedule = BatchSchedule::kLocality;
   BatchQueryEngine engine(world.Resources(), options);
 
   engine.Run(workload.jobs);  // warmup: heaps grow to workload size here

@@ -158,11 +158,10 @@ TEST(FlatHeapTest, ReserveGrowsOnceAndCountsOnce) {
 }
 
 // --- Solve-phase allocation determinism ----------------------------------
-// BatchOptions::prewarm_scratch (default on) grows every worker's
-// Dijkstra frontier to its worst case — NumArcs() + 1 entries, the
-// lazy-deletion push bound — at engine construction. The solve phase
-// therefore performs EXACTLY ZERO heap growths under every (threads,
-// schedule) configuration, which makes the heap_grows counter a
+// BatchQueryEngine grows every worker's Dijkstra frontier to its worst
+// case — NumArcs() + 1 entries, the lazy-deletion push bound — at
+// construction. The solve phase therefore performs EXACTLY ZERO heap
+// growths under every thread count and cache setting, which makes the heap_grows counter a
 // deterministic per-configuration quantity instead of a race-dependent
 // one. bench/throughput.cc splits the counter by phase and
 // scripts/check_throughput_json.py asserts the solve half stays 0; this
@@ -185,20 +184,15 @@ TEST(FlatHeapTest, BatchSolvePhasePerformsZeroGrowsForEveryConfig) {
   }
 
   for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    for (const BatchSchedule schedule :
-         {BatchSchedule::kDynamic, BatchSchedule::kLocality}) {
-      for (const bool cached : {false, true}) {
-        BatchOptions options;
-        options.num_threads = threads;
-        options.schedule = schedule;
-        options.share_distance_cache = cached;
-        BatchQueryEngine engine(world.Resources(), options);
-        const uint64_t before = FlatHeapAllocStats().grows;
-        engine.Run(jobs);
-        EXPECT_EQ(FlatHeapAllocStats().grows, before)
-            << "threads=" << threads << " cached=" << cached << " schedule="
-            << (schedule == BatchSchedule::kDynamic ? "dynamic" : "locality");
-      }
+    for (const bool cached : {false, true}) {
+      BatchOptions options;
+      options.num_threads = threads;
+      options.share_distance_cache = cached;
+      BatchQueryEngine engine(world.Resources(), options);
+      const uint64_t before = FlatHeapAllocStats().grows;
+      engine.Run(jobs);
+      EXPECT_EQ(FlatHeapAllocStats().grows, before)
+          << "threads=" << threads << " cached=" << cached;
     }
   }
 }
